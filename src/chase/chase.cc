@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 
 #include "base/budget.h"
 #include "base/thread_pool.h"
@@ -119,7 +120,72 @@ bool SchemasAlias(const SchemaPtr& a, const SchemaPtr& b) {
   return true;
 }
 
+// Records one firing's nulls and derived facts in the provenance journal,
+// parented on the trigger's lhs facts (`parent_ids`, filled by the
+// caller) and the nulls minted for it.
+class JournalFireObserver final : public FireObserver {
+ public:
+  JournalFireObserver(obs::JournalRun& journal, const std::string& dep_text,
+                      size_t dep_index, const Assignment& h,
+                      const Schema& target_schema)
+      : journal_(journal),
+        dep_text_(dep_text),
+        dep_index_(static_cast<int32_t>(dep_index)),
+        h_(h),
+        target_schema_(target_schema) {}
+
+  void OnNull(const Value& y, const Value& fresh) override {
+    null_ids_.push_back(journal_.RecordNull(fresh.ToString(), y.ToString(),
+                                            dep_text_, dep_index_));
+  }
+  void OnFact(const Atom& fact) override {
+    journal_.RecordDerivedFact(AtomToString(fact, target_schema_), dep_text_,
+                               dep_index_, AssignmentToString(h_),
+                               parent_ids, null_ids_);
+  }
+
+  std::vector<uint64_t> parent_ids;
+
+ private:
+  obs::JournalRun& journal_;
+  const std::string& dep_text_;
+  int32_t dep_index_;
+  const Assignment& h_;
+  const Schema& target_schema_;
+  std::vector<uint64_t> null_ids_;
+};
+
 }  // namespace
+
+Status FireTrigger(const Tgd& tgd, const std::vector<Value>& existentials,
+                   const Assignment& h, Instance* target,
+                   uint32_t* next_null, RunBudget* guard,
+                   FireObserver* observer, FireCounts* counts) {
+  FireCounts local_counts;
+  FireCounts& fc = counts != nullptr ? *counts : local_counts;
+  Assignment extended = h;
+  for (const Value& y : existentials) {
+    Value fresh = Value::MakeNull((*next_null)++);
+    extended.emplace(y, fresh);
+    ++fc.nulls;
+    if (observer != nullptr) observer->OnNull(y, fresh);
+  }
+  if (guard != nullptr && !existentials.empty()) {
+    QIMAP_RETURN_IF_ERROR(guard->ChargeNulls(existentials.size()));
+  }
+  fc.instantiated = true;
+  for (const Atom& atom : ApplyAssignmentToConjunction(tgd.rhs, extended)) {
+    if (guard != nullptr) {
+      QIMAP_RETURN_IF_ERROR(guard->ChargeMemory(
+          ApproxFactBytes(atom.args.size(), sizeof(Value))));
+    }
+    Status status = target->AddFact(atom.relation, atom.args);
+    ++fc.facts;
+    if (observer != nullptr) observer->OnFact(atom);
+    QIMAP_RETURN_IF_ERROR(status);
+  }
+  return Status::OK();
+}
 
 Result<Instance> ChaseWithTgds(const Instance& source_inst,
                                const std::vector<Tgd>& tgds,
@@ -221,6 +287,11 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
   // per-dependency fan-out is safe to parallelize; the canonical sort
   // makes phase 2 independent of collection order. A resume collects
   // semi-naively: only matches touching at least one delta fact.
+  std::vector<std::vector<Value>> existentials;
+  existentials.reserve(tgds.size());
+  for (const Tgd& tgd : tgds) {
+    existentials.push_back(tgd.ExistentialVariables());
+  }
   ThreadPool pool(ResolveThreadCount(options.num_threads));
   HomSearchOptions lhs_options;
   lhs_options.use_index = options.use_index;
@@ -386,8 +457,6 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
         rhs_options.use_compiled_plan = options.use_compiled_plan;
         for (uint32_t d : plan.shard_deps[s]) {
           const Tgd& tgd = tgds[d];
-          const std::vector<Value> existentials =
-              tgd.ExistentialVariables();
           const uint32_t prof_dep =
               profiled ? prof_deps[d] : obs::kProfileNoDep;
           obs::ProfiledDepScope prof_scope(prof_dep,
@@ -399,15 +468,9 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
                      .has_value();
             shard_outcomes[d][t] = fire ? 1 : 0;
             if (!fire) continue;
-            Assignment extended = h;
-            for (const Value& y : existentials) {
-              extended.emplace(y, Value::MakeNull(shard_null++));
-            }
-            for (const Atom& atom :
-                 ApplyAssignmentToConjunction(tgd.rhs, extended)) {
-              Status status = shard_inst.AddFact(atom.relation, atom.args);
-              (void)status;  // target schema: cannot fail
-            }
+            Status status = FireTrigger(tgd, existentials[d], h,
+                                        &shard_inst, &shard_null);
+            (void)status;  // ungoverned, target schema: cannot fail
           }
         }
       });
@@ -507,56 +570,27 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
       // Fire: instantiate the rhs, using fresh nulls for the existential
       // variables.
       ++st.triggers_fired;
-      std::vector<uint64_t> parent_ids;
-      std::vector<uint64_t> null_ids;
+      std::optional<JournalFireObserver> journal_observer;
       if (journal.active()) {
+        journal_observer.emplace(journal, dep_texts[dep_index], dep_index, h,
+                                 *target_inst.schema());
         for (const Atom& atom : ApplyAssignmentToConjunction(tgd.lhs, h)) {
-          parent_ids.push_back(journal.RecordBaseFact(
+          journal_observer->parent_ids.push_back(journal.RecordBaseFact(
               AtomToString(atom, *source_inst.schema())));
         }
       }
-      Assignment extended = h;
-      size_t fresh_nulls = 0;
-      for (const Value& y : tgd.ExistentialVariables()) {
-        Value fresh = Value::MakeNull(next_null++);
-        extended.emplace(y, fresh);
-        ++st.nulls_minted;
-        ++fresh_nulls;
-        if (journal.active()) {
-          null_ids.push_back(journal.RecordNull(
-              fresh.ToString(), y.ToString(), dep_texts[dep_index],
-              static_cast<int32_t>(dep_index)));
-        }
+      FireCounts fired;
+      overflow = FireTrigger(
+          tgd, existentials[dep_index], h, &target_inst, &next_null, &guard,
+          journal_observer.has_value() ? &*journal_observer : nullptr,
+          &fired);
+      st.nulls_minted += fired.nulls;
+      st.facts_added += fired.facts;
+      if (!fired.instantiated) break;  // the null charge was refused
+      if (mt.prov == Provenance::kNew || diverged) {
+        for (const Atom& atom : tgd.rhs) touched[atom.relation] = true;
       }
-      if (fresh_nulls > 0) {
-        overflow = guard.ChargeNulls(fresh_nulls);
-        if (!overflow.ok()) break;
-      }
-      size_t facts_this_fire = 0;
-      for (const Atom& atom :
-           ApplyAssignmentToConjunction(tgd.rhs, extended)) {
-        overflow =
-            guard.ChargeMemory(ApproxFactBytes(atom.args.size(),
-                                               sizeof(Value)));
-        if (!overflow.ok()) break;
-        Status status = target_inst.AddFact(atom.relation, atom.args);
-        ++st.facts_added;
-        ++facts_this_fire;
-        if (journal.active()) {
-          journal.RecordDerivedFact(
-              AtomToString(atom, *target_inst.schema()),
-              dep_texts[dep_index], static_cast<int32_t>(dep_index),
-              AssignmentToString(h), parent_ids, null_ids);
-        }
-        if (mt.prov == Provenance::kNew || diverged) {
-          touched[atom.relation] = true;
-        }
-        if (!status.ok()) {
-          overflow = status;
-          break;
-        }
-      }
-      obs::ProfileRecordFire(prof_dep, fresh_nulls, facts_this_fire);
+      obs::ProfileRecordFire(prof_dep, fired.nulls, fired.facts);
       if (record) out_records[dep_index].push_back({h, true});
       if (!overflow.ok()) break;
     }

@@ -5,11 +5,13 @@
 
 #include "base/status.h"
 #include "dependency/schema_mapping.h"
+#include "relational/homomorphism.h"
 #include "relational/instance.h"
 
 namespace qimap {
 
 class Budget;            // base/budget.h
+class RunBudget;         // base/budget.h
 struct ChaseCheckpoint;  // chase/chase_checkpoint.h
 struct CostModel;        // relational/cost_model.h
 
@@ -146,6 +148,46 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
                                SchemaPtr target_schema,
                                const ChaseOptions& options = {},
                                ChaseStats* stats = nullptr);
+
+/// Observes the facts and nulls one FireTrigger call produces (the chase
+/// wires its provenance journal through this).
+class FireObserver {
+ public:
+  /// Called as the fresh null `fresh` is minted for existential `y`.
+  virtual void OnNull(const Value& y, const Value& fresh) = 0;
+  /// Called after `fact` was handed to the target instance.
+  virtual void OnFact(const Atom& fact) = 0;
+
+ protected:
+  ~FireObserver() = default;
+};
+
+/// What one FireTrigger call did, filled as it goes (so it is accurate
+/// on the error paths too).
+struct FireCounts {
+  /// Fresh nulls minted.
+  size_t nulls = 0;
+  /// Facts passed to AddFact (including duplicates the instance absorbs).
+  size_t facts = 0;
+  /// True once the minted nulls were charged and rhs instantiation began
+  /// (false when the null charge was refused).
+  bool instantiated = false;
+};
+
+/// The firing half of one chase step, shared by the s-t chase's serial
+/// and sharded fire loops and MinGen's delta firings. Extends the lhs
+/// match `h` of `tgd` with one fresh labeled null per existential
+/// variable (`existentials`, i.e. `tgd.ExistentialVariables()`; labels
+/// drawn from `*next_null` upward), instantiates the rhs under the
+/// extension and adds each fact to `*target`. When `guard` is non-null
+/// the minted nulls, then each fact's approximate bytes, are charged to
+/// it; the first refused charge ends the step with its status, keeping
+/// what was already added.
+Status FireTrigger(const Tgd& tgd, const std::vector<Value>& existentials,
+                   const Assignment& h, Instance* target,
+                   uint32_t* next_null, RunBudget* guard = nullptr,
+                   FireObserver* observer = nullptr,
+                   FireCounts* counts = nullptr);
 
 /// Like Chase but aborts on error (tests/examples/benchmarks).
 Instance MustChase(const Instance& source_inst, const SchemaMapping& m,

@@ -114,6 +114,7 @@ Result<ReverseMapping> QuasiInverse(const SchemaMapping& m,
   ReverseMapping reverse;
   reverse.from = m.target;
   reverse.to = m.source;
+  if (options.mingen.stats != nullptr) *options.mingen.stats = MinGenStats{};
 
   RunBudget guard("QuasiInverse", 0, options.budget);
   // Ends the inversion on a budget trip: journal + budget.* metrics, then
@@ -175,18 +176,20 @@ Result<ReverseMapping> QuasiInverse(const SchemaMapping& m,
       }
     }
 
-    // Route the MinGen stats through a local struct when the caller did
-    // not ask for them: the generator event ids attribute this rule.
+    // Each search runs into a local struct (MinGen resets its stats on
+    // entry): its generator event ids attribute this rule, and its counts
+    // add into the caller's totals over every member.
     MinGenOptions mingen_options = options.mingen;
-    MinGenStats local_mingen_stats;
-    if (mingen_options.stats == nullptr) {
-      mingen_options.stats = &local_mingen_stats;
-    }
+    MinGenStats member_stats;
+    mingen_options.stats = &member_stats;
     if (mingen_options.budget == nullptr) {
       mingen_options.budget = options.budget;
     }
     Result<std::vector<Conjunction>> found =
         MinGen(m, sigma.rhs, x, mingen_options);
+    if (options.mingen.stats != nullptr) {
+      options.mingen.stats->Accumulate(member_stats);
+    }
     if (!found.ok()) {
       Status status = found.status();
       // MinGen already journaled its own trip; `trip` here hands the
@@ -224,7 +227,7 @@ Result<ReverseMapping> QuasiInverse(const SchemaMapping& m,
         journal.RecordRule(DisjunctiveTgdToString(dep, *m.target, *m.source),
                            TgdToString(sigma, *m.source, *m.target),
                            static_cast<int32_t>(si), x_text,
-                           mingen_options.stats->generator_event_ids);
+                           member_stats.generator_event_ids);
       }
       reverse.deps.push_back(std::move(dep));
       obs::CounterAdd(kRules);

@@ -11,6 +11,8 @@ class Budget;  // base/budget.h
 
 /// Options for the QuasiInverse algorithm.
 struct QuasiInverseOptions {
+  /// Options for every sigma-star member's MinGen search. `mingen.stats`,
+  /// when set, receives the totals over all of this run's searches.
   MinGenOptions mingen;
   /// Emit the `Constant(x)` conjuncts. Theorem 4.6: for mappings specified
   /// by full s-t tgds they are unnecessary, so callers may disable them.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -322,6 +323,13 @@ TEST(FaultInjectionTest, GovernedPipelinesTripUnderEveryLimitKind) {
       ASSERT_FALSE(run.ok());
       ExpectCleanBudgetFailure(run.status(), tight);
       EXPECT_EQ(tight.tripped(), limit);
+      if (limit == BudgetLimit::kNulls) {
+        // The generators found before the trip are a prefix of the
+        // ungoverned search's list.
+        ASSERT_LE(partial.size(), mg_reference->size());
+        EXPECT_TRUE(std::equal(partial.begin(), partial.end(),
+                               mg_reference->begin()));
+      }
     }
     {
       SCOPED_TRACE("pipeline=LavQuasiInverse");
