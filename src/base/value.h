@@ -67,11 +67,17 @@ class Value {
 
 std::ostream& operator<<(std::ostream& os, const Value& v);
 
+/// A value's integer code, `(kind << 32) | id`: unique per value, and
+/// codes order exactly like Value's (kind, id) comparison, so sorting
+/// codes sorts values.
+inline uint64_t ValueCode(const Value& v) {
+  return (static_cast<uint64_t>(v.kind()) << 32) | v.id();
+}
+
 /// Hash functor for Value, usable with unordered containers.
 struct ValueHash {
   size_t operator()(const Value& v) const {
-    return std::hash<uint64_t>{}((static_cast<uint64_t>(v.kind()) << 32) |
-                                 v.id());
+    return std::hash<uint64_t>{}(ValueCode(v));
   }
 };
 

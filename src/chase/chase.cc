@@ -1,12 +1,15 @@
 #include "chase/chase.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <optional>
 
 #include "base/budget.h"
 #include "base/thread_pool.h"
 #include "chase/chase_checkpoint.h"
+#include "chase/match_plan.h"
 #include "chase/shard_plan.h"
 #include "chase/trigger_finder.h"
 #include "obs/budget_obs.h"
@@ -89,7 +92,7 @@ void FlushChaseMetrics(const ChaseStats& st) {
 enum class Provenance : uint8_t { kNew, kOldFired, kOldSkipped };
 
 struct MergedTrigger {
-  const Assignment* h;
+  const Value* row;  // one value per slot of the dependency
   Provenance prov;
 };
 
@@ -120,68 +123,152 @@ bool SchemasAlias(const SchemaPtr& a, const SchemaPtr& b) {
   return true;
 }
 
-// Records one firing's nulls and derived facts in the provenance journal,
-// parented on the trigger's lhs facts (`parent_ids`, filled by the
-// caller) and the nulls minted for it.
-class JournalFireObserver final : public FireObserver {
+// One dependency's standard-chase satisfaction test within one run. On
+// the indexed compiled path the rhs is compiled with CompileMatchPlan at
+// the dependency's first test of the run, against the instance the
+// tests read, with the trigger slots as the bound key set; every test
+// then preloads the frontier registers straight from the trigger row
+// and runs the plan. Otherwise each test decodes the row and runs the
+// interpretive or full-scan matcher (the oracles).
+class SatisfactionCheck {
  public:
-  JournalFireObserver(obs::JournalRun& journal, const std::string& dep_text,
-                      size_t dep_index, const Assignment& h,
-                      const Schema& target_schema)
-      : journal_(journal),
-        dep_text_(dep_text),
-        dep_index_(static_cast<int32_t>(dep_index)),
-        h_(h),
-        target_schema_(target_schema) {}
+  SatisfactionCheck(const Tgd& tgd, const std::vector<Value>& slots,
+                    const Instance& target, const HomSearchOptions& options)
+      : tgd_(tgd), slots_(slots), target_(target), options_(options) {}
+  SatisfactionCheck(const SatisfactionCheck&) = delete;
+  SatisfactionCheck& operator=(const SatisfactionCheck&) = delete;
 
-  void OnNull(const Value& y, const Value& fresh) override {
-    null_ids_.push_back(journal_.RecordNull(fresh.ToString(), y.ToString(),
-                                            dep_text_, dep_index_));
+  // True iff some extension of the trigger maps the rhs into the target.
+  bool Satisfied(const Value* row, PlanCounts* counts) {
+    if (!options_.use_index || !options_.use_compiled_plan ||
+        tgd_.rhs.empty()) {
+      return FindHomomorphism(tgd_.rhs, target_,
+                              DecodeTriggerRow(slots_, row), options_)
+          .has_value();
+    }
+    if (plan_ == nullptr) Compile();
+    for (size_t i = 0; i < preload_slots_.size(); ++i) {
+      preload_[i] = row[preload_slots_[i]];
+    }
+    return matcher_->Run(preload_.data(), nullptr, counts) > 0;
   }
-  void OnFact(const Atom& fact) override {
-    journal_.RecordDerivedFact(AtomToString(fact, target_schema_), dep_text_,
-                               dep_index_, AssignmentToString(h_),
-                               parent_ids, null_ids_);
-  }
-
-  std::vector<uint64_t> parent_ids;
 
  private:
-  obs::JournalRun& journal_;
-  const std::string& dep_text_;
-  int32_t dep_index_;
-  const Assignment& h_;
-  const Schema& target_schema_;
-  std::vector<uint64_t> null_ids_;
+  void Compile() {
+    Assignment keys;
+    for (const Value& v : slots_) keys.emplace_hint(keys.end(), v, v);
+    plan_ = std::make_unique<const MatchPlan>(
+        CompileMatchPlan(tgd_.rhs, target_, keys, options_));
+    CountPlanCompile();
+    for (uint16_t r : plan_->preload_regs) {
+      preload_slots_.push_back(static_cast<uint32_t>(
+          std::lower_bound(slots_.begin(), slots_.end(),
+                           plan_->reg_vars[r]) -
+          slots_.begin()));
+    }
+    preload_.resize(preload_slots_.size());
+    matcher_ = std::make_unique<PlanMatcher>(*plan_, target_);
+  }
+
+  const Tgd& tgd_;
+  const std::vector<Value>& slots_;
+  const Instance& target_;
+  const HomSearchOptions& options_;
+  std::unique_ptr<const MatchPlan> plan_;
+  std::unique_ptr<PlanMatcher> matcher_;
+  std::vector<uint32_t> preload_slots_;  // preload i -> its trigger slot
+  std::vector<Value> preload_;
 };
 
 }  // namespace
 
-Status FireTrigger(const Tgd& tgd, const std::vector<Value>& existentials,
-                   const Assignment& h, Instance* target,
-                   uint32_t* next_null, RunBudget* guard,
-                   FireObserver* observer, FireCounts* counts) {
+JournalFireObserver::JournalFireObserver(obs::JournalRun& journal,
+                                         const std::string& dep_text,
+                                         size_t dep_index,
+                                         const Assignment& h,
+                                         const Schema& target_schema)
+    : journal_(journal),
+      dep_text_(dep_text),
+      dep_index_(static_cast<int32_t>(dep_index)),
+      trigger_text_(AssignmentToString(h)),
+      target_schema_(target_schema) {}
+
+void JournalFireObserver::OnNull(const Value& y, const Value& fresh) {
+  null_ids_.push_back(journal_.RecordNull(fresh.ToString(), y.ToString(),
+                                          dep_text_, dep_index_));
+}
+
+void JournalFireObserver::OnFact(const Atom& fact) {
+  journal_.RecordDerivedFact(AtomToString(fact, target_schema_), dep_text_,
+                             dep_index_, trigger_text_, parent_ids,
+                             null_ids_);
+}
+
+FireProgram::FireProgram(const Tgd& tgd, const std::vector<Value>& slots)
+    : existentials_(tgd.ExistentialVariables()) {
+  atoms_.reserve(tgd.rhs.size());
+  for (const Atom& atom : tgd.rhs) {
+    AtomTemplate tmpl{atom.relation, {}};
+    tmpl.args.reserve(atom.args.size());
+    for (const Value& arg : atom.args) {
+      ArgTemplate at{ArgTemplate::kLiteral, 0, arg};
+      auto slot = std::lower_bound(slots.begin(), slots.end(), arg);
+      auto ex = std::find(existentials_.begin(), existentials_.end(), arg);
+      if (slot != slots.end() && *slot == arg) {
+        at.kind = ArgTemplate::kSlot;
+        at.index = static_cast<uint32_t>(slot - slots.begin());
+      } else if (ex != existentials_.end()) {
+        at.kind = ArgTemplate::kExistential;
+        at.index = static_cast<uint32_t>(ex - existentials_.begin());
+      }
+      tmpl.args.push_back(at);
+    }
+    atoms_.push_back(std::move(tmpl));
+  }
+}
+
+Status FireProgram::Fire(const Value* row, Instance* target,
+                         uint32_t* next_null, RunBudget* guard,
+                         FireObserver* observer, FireCounts* counts) const {
   FireCounts local_counts;
   FireCounts& fc = counts != nullptr ? *counts : local_counts;
-  Assignment extended = h;
-  for (const Value& y : existentials) {
+  // Per-thread buffers: the sharded pass fires one shared program from
+  // several threads.
+  thread_local std::vector<Value> nulls;
+  thread_local Tuple tuple;
+  nulls.clear();
+  for (const Value& y : existentials_) {
     Value fresh = Value::MakeNull((*next_null)++);
-    extended.emplace(y, fresh);
+    nulls.push_back(fresh);
     ++fc.nulls;
     if (observer != nullptr) observer->OnNull(y, fresh);
   }
-  if (guard != nullptr && !existentials.empty()) {
-    QIMAP_RETURN_IF_ERROR(guard->ChargeNulls(existentials.size()));
+  if (guard != nullptr && !existentials_.empty()) {
+    QIMAP_RETURN_IF_ERROR(guard->ChargeNulls(existentials_.size()));
   }
   fc.instantiated = true;
-  for (const Atom& atom : ApplyAssignmentToConjunction(tgd.rhs, extended)) {
+  for (const AtomTemplate& atom : atoms_) {
     if (guard != nullptr) {
       QIMAP_RETURN_IF_ERROR(guard->ChargeMemory(
           ApproxFactBytes(atom.args.size(), sizeof(Value))));
     }
-    Status status = target->AddFact(atom.relation, atom.args);
+    tuple.clear();
+    for (const ArgTemplate& arg : atom.args) {
+      switch (arg.kind) {
+        case ArgTemplate::kSlot:
+          tuple.push_back(row[arg.index]);
+          break;
+        case ArgTemplate::kExistential:
+          tuple.push_back(nulls[arg.index]);
+          break;
+        case ArgTemplate::kLiteral:
+          tuple.push_back(arg.literal);
+          break;
+      }
+    }
+    Status status = target->AddFact(atom.relation, tuple);
     ++fc.facts;
-    if (observer != nullptr) observer->OnFact(atom);
+    if (observer != nullptr) observer->OnFact(Atom{atom.relation, tuple});
     QIMAP_RETURN_IF_ERROR(status);
   }
   return Status::OK();
@@ -287,25 +374,33 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
   // per-dependency fan-out is safe to parallelize; the canonical sort
   // makes phase 2 independent of collection order. A resume collects
   // semi-naively: only matches touching at least one delta fact.
-  std::vector<std::vector<Value>> existentials;
-  existentials.reserve(tgds.size());
-  for (const Tgd& tgd : tgds) {
-    existentials.push_back(tgd.ExistentialVariables());
-  }
+  //
+  // Triggers travel as rows (chase/trigger_finder.h): each dependency's
+  // lhs movable values get fixed slots in Value order, and each rhs is
+  // compiled once into a FireProgram over those slots. Assignments are
+  // built only where a consumer needs one: the journal, the checkpoint
+  // records, and the oracle matchers.
   ThreadPool pool(ResolveThreadCount(options.num_threads));
-  HomSearchOptions lhs_options;
-  lhs_options.use_index = options.use_index;
-  lhs_options.use_compiled_plan = options.use_compiled_plan;
+  HomSearchOptions search_options;
+  search_options.use_index = options.use_index;
+  search_options.use_compiled_plan = options.use_compiled_plan;
   std::vector<const Conjunction*> bodies;
+  std::vector<std::vector<Value>> slots;
+  std::vector<FireProgram> fire_programs;
   bodies.reserve(tgds.size());
-  for (const Tgd& tgd : tgds) bodies.push_back(&tgd.lhs);
-  std::vector<std::vector<Assignment>> batches(tgds.size());
+  slots.reserve(tgds.size());
+  fire_programs.reserve(tgds.size());
+  for (const Tgd& tgd : tgds) {
+    bodies.push_back(&tgd.lhs);
+    slots.push_back(TriggerSlots(tgd.lhs, search_options));
+    fire_programs.emplace_back(tgd, slots.back());
+  }
+  std::vector<TriggerRows> batches(tgds.size());
   {
-    Result<std::vector<std::vector<Assignment>>> collected =
-        FindTriggerBatches(bodies, {lhs_options}, source_inst, pool,
-                           options.budget,
-                           resume ? &ckpt->source_epoch : nullptr,
-                           profiled ? &prof_deps : nullptr);
+    Result<std::vector<TriggerRows>> collected = FindTriggerRowBatches(
+        bodies, slots, search_options, source_inst, pool, options.budget,
+        resume ? &ckpt->source_epoch : nullptr,
+        profiled ? &prof_deps : nullptr);
     if (collected.ok()) {
       batches = std::move(collected).value();
     } else {
@@ -319,31 +414,38 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
   // records) merge into exactly that sequence, so replay walks the same
   // positions a full re-chase would.
   std::vector<std::vector<MergedTrigger>> merged(tgds.size());
+  std::vector<TriggerRows> old_rows(resume ? tgds.size() : 0);
   for (size_t d = 0; d < tgds.size() && overflow.ok(); ++d) {
-    const std::vector<Assignment>& fresh = batches[d];
+    const TriggerRows& fresh = batches[d];
     if (!resume) {
       merged[d].reserve(fresh.size());
-      for (const Assignment& h : fresh) {
-        merged[d].push_back({&h, Provenance::kNew});
+      for (size_t j = 0; j < fresh.size(); ++j) {
+        merged[d].push_back({fresh.row(j), Provenance::kNew});
       }
       continue;
     }
     const std::vector<ChaseCheckpoint::TriggerRecord>& olds =
         ckpt->triggers[d];
+    old_rows[d] = TriggerRows(slots[d].size());
+    for (const ChaseCheckpoint::TriggerRecord& record : olds) {
+      EncodeTriggerRow(slots[d], record.trigger, old_rows[d].Append());
+    }
     st.replayed_triggers += olds.size();
     st.delta_triggers += fresh.size();
     merged[d].reserve(olds.size() + fresh.size());
+    const size_t width = slots[d].size();
     size_t i = 0;
     size_t j = 0;
     while (i < olds.size() || j < fresh.size()) {
       if (j >= fresh.size() ||
-          (i < olds.size() && olds[i].trigger < fresh[j])) {
-        merged[d].push_back({&olds[i].trigger, olds[i].fired
-                                                   ? Provenance::kOldFired
-                                                   : Provenance::kOldSkipped});
+          (i < olds.size() &&
+           TriggerRowLess(old_rows[d].row(i), fresh.row(j), width))) {
+        merged[d].push_back({old_rows[d].row(i),
+                             olds[i].fired ? Provenance::kOldFired
+                                           : Provenance::kOldSkipped});
         ++i;
       } else {
-        merged[d].push_back({&fresh[j], Provenance::kNew});
+        merged[d].push_back({fresh.row(j), Provenance::kNew});
         ++j;
       }
     }
@@ -421,6 +523,9 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
   // search counters diverge from a serial run's truncated counters).
   std::vector<std::vector<uint8_t>> shard_outcomes;
   bool sharded = false;
+  // hom.* / chase.index.* work of the compiled satisfaction searches,
+  // mirrored into the registry once at the end of the run.
+  PlanCounts search_counts;
   if (overflow.ok() && !resume && !record &&
       options.variant != ChaseVariant::kOblivious &&
       options.budget == nullptr && options.partial_out == nullptr &&
@@ -449,31 +554,34 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
       for (size_t d = 0; d < tgds.size(); ++d) {
         shard_outcomes[d].resize(merged[d].size());
       }
+      std::vector<PlanCounts> shard_counts(plan.num_shards);
       pool.ParallelFor(plan.num_shards, [&](size_t s) {
         Instance shard_inst(target_inst.schema());
         uint32_t shard_null = null_base;
-        HomSearchOptions rhs_options;
-        rhs_options.use_index = options.use_index;
-        rhs_options.use_compiled_plan = options.use_compiled_plan;
         for (uint32_t d : plan.shard_deps[s]) {
-          const Tgd& tgd = tgds[d];
           const uint32_t prof_dep =
               profiled ? prof_deps[d] : obs::kProfileNoDep;
           obs::ProfiledDepScope prof_scope(prof_dep,
                                            obs::ProfilePhase::kFire);
+          // A dependency belongs to one shard, so its rhs plan is still
+          // compiled once per run, and against the same statistics the
+          // serial target would show at its first test (see above).
+          SatisfactionCheck check(tgds[d], slots[d], shard_inst,
+                                  search_options);
           for (size_t t = 0; t < merged[d].size(); ++t) {
-            const Assignment& h = *merged[d][t].h;
-            bool fire =
-                !FindHomomorphism(tgd.rhs, shard_inst, h, rhs_options)
-                     .has_value();
+            const Value* row = merged[d][t].row;
+            bool fire = !check.Satisfied(row, &shard_counts[s]);
             shard_outcomes[d][t] = fire ? 1 : 0;
             if (!fire) continue;
-            Status status = FireTrigger(tgd, existentials[d], h,
-                                        &shard_inst, &shard_null);
+            Status status =
+                fire_programs[d].Fire(row, &shard_inst, &shard_null);
             (void)status;  // ungoverned, target schema: cannot fail
           }
         }
       });
+      for (const PlanCounts& counts : shard_counts) {
+        search_counts.Add(counts);
+      }
     }
   }
 
@@ -499,10 +607,8 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
   if (fast) {
     // Every recorded outcome survives verbatim on the fast path, so the
     // re-recorded prefix is the old record list itself: recycle the
-    // checkpoint's vectors instead of copying one std::map-backed
-    // Assignment per replayed trigger. `merged` holds pointers into
-    // these records; a vector move keeps the elements in place, so the
-    // fire loop below may still read them.
+    // checkpoint's vectors instead of decoding one std::map-backed
+    // Assignment per replayed trigger.
     for (size_t d = 0; d < tgds.size(); ++d) {
       out_records[d] = std::move(ckpt->triggers[d]);
     }
@@ -512,15 +618,17 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
   for (size_t dep_index = 0;
        dep_index < tgds.size() && overflow.ok(); ++dep_index) {
     const Tgd& tgd = tgds[dep_index];
+    const std::vector<Value>& dep_slots = slots[dep_index];
     // Fire-phase attribution: satisfaction searches and firing time land
     // on this dependency's rhs totals (never its per-atom body rows).
     const uint32_t prof_dep =
         profiled ? prof_deps[dep_index] : obs::kProfileNoDep;
     obs::ProfiledDepScope prof_scope(prof_dep, obs::ProfilePhase::kFire);
+    SatisfactionCheck check(tgd, dep_slots, target_inst, search_options);
     for (size_t trig_index = 0; trig_index < merged[dep_index].size();
          ++trig_index) {
       const MergedTrigger& mt = merged[dep_index][trig_index];
-      const Assignment& h = *mt.h;
+      const Value* row = mt.row;
       Status tick = guard.Tick();
       if (!tick.ok()) {
         overflow = std::move(tick);
@@ -553,17 +661,16 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
           fire = true;
           ++st.checks_skipped;
         } else {
-          HomSearchOptions rhs_options;
-          rhs_options.use_index = options.use_index;
-          rhs_options.use_compiled_plan = options.use_compiled_plan;
-          fire = !FindHomomorphism(tgd.rhs, target_inst, h, rhs_options)
-                      .has_value();
+          fire = !check.Satisfied(row, &search_counts);
         }
         if (!fire) {
           ++st.satisfaction_hits;
           obs::ProfileRecordSkip(prof_dep);
           if (mt.prov == Provenance::kOldFired) diverged = true;
-          if (record) out_records[dep_index].push_back({h, false});
+          if (record) {
+            out_records[dep_index].push_back(
+                {DecodeTriggerRow(dep_slots, row), false});
+          }
           continue;
         }
       }
@@ -572,6 +679,7 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
       ++st.triggers_fired;
       std::optional<JournalFireObserver> journal_observer;
       if (journal.active()) {
+        const Assignment h = DecodeTriggerRow(dep_slots, row);
         journal_observer.emplace(journal, dep_texts[dep_index], dep_index, h,
                                  *target_inst.schema());
         for (const Atom& atom : ApplyAssignmentToConjunction(tgd.lhs, h)) {
@@ -580,8 +688,8 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
         }
       }
       FireCounts fired;
-      overflow = FireTrigger(
-          tgd, existentials[dep_index], h, &target_inst, &next_null, &guard,
+      overflow = fire_programs[dep_index].Fire(
+          row, &target_inst, &next_null, &guard,
           journal_observer.has_value() ? &*journal_observer : nullptr,
           &fired);
       st.nulls_minted += fired.nulls;
@@ -591,12 +699,16 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
         for (const Atom& atom : tgd.rhs) touched[atom.relation] = true;
       }
       obs::ProfileRecordFire(prof_dep, fired.nulls, fired.facts);
-      if (record) out_records[dep_index].push_back({h, true});
+      if (record) {
+        out_records[dep_index].push_back(
+            {DecodeTriggerRow(dep_slots, row), true});
+      }
       if (!overflow.ok()) break;
     }
   }
   st.steps = guard.steps();
   st.partial = !overflow.ok() && guard.exhausted();
+  FlushPlanCounts(search_counts);
   FlushChaseMetrics(st);
   if (!overflow.ok()) {
     if (record) ckpt->valid = false;

@@ -1,6 +1,7 @@
 #ifndef QIMAP_CHASE_CHASE_H_
 #define QIMAP_CHASE_CHASE_H_
 
+#include <string>
 #include <vector>
 
 #include "base/status.h"
@@ -50,8 +51,8 @@ struct ChaseOptions {
   /// (trigger batches are canonically sorted before firing).
   bool use_index = true;
   /// If true (default), indexed searches execute compiled per-dependency
-  /// match plans (chase/match_plan.h) — body compiled once per
-  /// (dependency, instance epoch), flat register frame instead of map
+  /// match plans (chase/match_plan.h) — each dependency's lhs and rhs
+  /// compiled once per run, flat register frame instead of map
   /// mutations. If false, the interpretive matcher runs: the
   /// differential oracle for the plan layer, the same pattern as
   /// `use_index=false` for the index layer. Identical chase output
@@ -149,8 +150,8 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
                                const ChaseOptions& options = {},
                                ChaseStats* stats = nullptr);
 
-/// Observes the facts and nulls one FireTrigger call produces (the chase
-/// wires its provenance journal through this).
+/// Observes the facts and nulls one FireProgram::Fire call produces (the
+/// chase wires its provenance journal through this).
 class FireObserver {
  public:
   /// Called as the fresh null `fresh` is minted for existential `y`.
@@ -162,8 +163,8 @@ class FireObserver {
   ~FireObserver() = default;
 };
 
-/// What one FireTrigger call did, filled as it goes (so it is accurate
-/// on the error paths too).
+/// What one Fire call did, filled as it goes (so it is accurate on the
+/// error paths too).
 struct FireCounts {
   /// Fresh nulls minted.
   size_t nulls = 0;
@@ -174,20 +175,71 @@ struct FireCounts {
   bool instantiated = false;
 };
 
-/// The firing half of one chase step, shared by the s-t chase's serial
-/// and sharded fire loops and MinGen's delta firings. Extends the lhs
-/// match `h` of `tgd` with one fresh labeled null per existential
-/// variable (`existentials`, i.e. `tgd.ExistentialVariables()`; labels
-/// drawn from `*next_null` upward), instantiates the rhs under the
-/// extension and adds each fact to `*target`. When `guard` is non-null
-/// the minted nulls, then each fact's approximate bytes, are charged to
-/// it; the first refused charge ends the step with its status, keeping
-/// what was already added.
-Status FireTrigger(const Tgd& tgd, const std::vector<Value>& existentials,
-                   const Assignment& h, Instance* target,
-                   uint32_t* next_null, RunBudget* guard = nullptr,
-                   FireObserver* observer = nullptr,
-                   FireCounts* counts = nullptr);
+/// The firing half of one chase step — the single firing path of the s-t
+/// chase's serial and sharded fire loops, MinGen's delta firings and the
+/// target-tgd fixpoint. A tgd's rhs is compiled once against a trigger
+/// row layout (`slots`, see TriggerSlots in chase/trigger_finder.h):
+/// every rhs argument becomes a row slot (a frontier value), an
+/// existential (`tgd.ExistentialVariables()` order) or a literal.
+/// Immutable after construction, so threads may share one.
+class FireProgram {
+ public:
+  FireProgram(const Tgd& tgd, const std::vector<Value>& slots);
+
+  /// Fires the trigger `row` (one value per slot): mints one fresh
+  /// labeled null per existential (labels drawn from `*next_null`
+  /// upward), instantiates each rhs atom from its template and adds the
+  /// fact to `*target`. When `guard` is non-null the minted nulls, then
+  /// each fact's approximate bytes, are charged to it; the first refused
+  /// charge ends the step with its status, keeping what was already
+  /// added.
+  Status Fire(const Value* row, Instance* target, uint32_t* next_null,
+              RunBudget* guard = nullptr, FireObserver* observer = nullptr,
+              FireCounts* counts = nullptr) const;
+
+ private:
+  /// Where one rhs argument's value comes from.
+  struct ArgTemplate {
+    enum Kind : uint8_t { kSlot, kExistential, kLiteral } kind;
+    uint32_t index;  ///< slot or existential index
+    Value literal;
+  };
+  struct AtomTemplate {
+    RelationId relation;
+    std::vector<ArgTemplate> args;
+  };
+
+  std::vector<Value> existentials_;
+  std::vector<AtomTemplate> atoms_;
+};
+
+namespace obs {
+class JournalRun;  // obs/journal.h
+}  // namespace obs
+
+/// Records one firing's nulls and derived facts in the provenance
+/// journal, parented on the trigger's lhs facts (`parent_ids`, filled by
+/// the caller) and the nulls minted for it. `h` is the trigger's
+/// Assignment, rendered into every derived-fact record.
+class JournalFireObserver final : public FireObserver {
+ public:
+  JournalFireObserver(obs::JournalRun& journal, const std::string& dep_text,
+                      size_t dep_index, const Assignment& h,
+                      const Schema& target_schema);
+
+  void OnNull(const Value& y, const Value& fresh) override;
+  void OnFact(const Atom& fact) override;
+
+  std::vector<uint64_t> parent_ids;
+
+ private:
+  obs::JournalRun& journal_;
+  const std::string& dep_text_;
+  int32_t dep_index_;
+  std::string trigger_text_;
+  const Schema& target_schema_;
+  std::vector<uint64_t> null_ids_;
+};
 
 /// Like Chase but aborts on error (tests/examples/benchmarks).
 Instance MustChase(const Instance& source_inst, const SchemaMapping& m,

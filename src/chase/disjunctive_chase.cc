@@ -190,8 +190,7 @@ Result<std::vector<Instance>> DisjunctiveChase(
   {
     Result<std::vector<std::vector<Assignment>>> collected =
         FindTriggerBatches(bodies, body_options, target_inst, pool,
-                           options.budget, nullptr,
-                           profiled ? &prof_deps : nullptr);
+                           options.budget, profiled ? &prof_deps : nullptr);
     if (!collected.ok()) return trip(collected.status());
     dep_matches = std::move(collected).value();
   }

@@ -205,193 +205,6 @@ std::string StructuralKey(const Conjunction& body, const Assignment& partial,
   return key;
 }
 
-// ---------------------------------------------------------------------
-// Plan execution: a recursive matcher over the flat register frame. No
-// map is touched until a full match is emitted; failed candidates leave
-// registers dirty by design (a register is only read by steps that run
-// strictly after the step that bound it succeeded).
-// ---------------------------------------------------------------------
-
-class PlanRunner {
- public:
-  PlanRunner(const MatchPlan& plan, const Instance& inst,
-             const Assignment& partial, const HomSearchOptions& options,
-             const std::function<bool(const Assignment&)>& fn)
-      : plan_(plan),
-        inst_(inst),
-        partial_(partial),
-        options_(options),
-        fn_(fn),
-        regs_(plan.reg_vars.size()),
-        step_counts_(plan.steps.size()) {}
-
-  size_t Run() {
-    for (uint16_t r : plan_.preload_regs) {
-      auto it = partial_.find(plan_.reg_vars[r]);
-      if (it == partial_.end()) return 0;  // key-set mismatch: cannot match
-      regs_[r] = it->second;
-    }
-    Step(0);
-    return count_;
-  }
-
-  const std::vector<obs::ProfileAtomCounters>& step_counts() const {
-    return step_counts_;
-  }
-  size_t backtracks() const {
-    size_t total = 0;
-    for (const auto& s : step_counts_) total += s.unify_fails;
-    return total;
-  }
-  size_t index_probes() const {
-    size_t total = 0;
-    for (const auto& s : step_counts_) total += s.probes;
-    return total;
-  }
-  size_t index_rows() const {
-    size_t total = 0;
-    for (const auto& s : step_counts_) total += s.probe_rows;
-    return total;
-  }
-  size_t scan_rows() const {
-    size_t total = 0;
-    for (const auto& s : step_counts_) total += s.scan_rows;
-    return total;
-  }
-  size_t index_hits() const { return index_hits_; }
-  size_t point_lookups() const { return point_lookups_; }
-
- private:
-  const Value& ArgValue(const PlanArg& arg) const {
-    return arg.kind == PlanArgKind::kLiteral ? arg.literal : regs_[arg.reg];
-  }
-
-  void Step(size_t s) {
-    if (stop_) return;
-    if (s == plan_.steps.size()) {
-      Emit();
-      return;
-    }
-    const PlanStep& step = plan_.steps[s];
-    switch (step.mode) {
-      case PlanStepMode::kPointLookup: {
-        ++point_lookups_;
-        ++step_counts_[s].probes;
-        Tuple probe;
-        probe.reserve(step.args.size());
-        for (const PlanArg& arg : step.args) probe.push_back(ArgValue(arg));
-        if (!inst_.ContainsFact(step.relation, probe)) return;
-        ++index_hits_;
-        ++step_counts_[s].probe_rows;
-        Step(s + 1);
-        return;
-      }
-      case PlanStepMode::kProbe: {
-        const std::vector<uint32_t>* candidates = nullptr;
-        for (uint16_t col : step.probe_cols) {
-          ++step_counts_[s].probes;
-          const std::vector<uint32_t>* ids =
-              inst_.RowsWith(step.relation, col, ArgValue(step.args[col]));
-          if (ids == nullptr) return;  // no row carries this column value
-          ++index_hits_;
-          if (candidates == nullptr || ids->size() < candidates->size()) {
-            candidates = ids;
-          }
-        }
-        for (uint32_t row : *candidates) {
-          ++step_counts_[s].probe_rows;
-          if (UnifyRow(step, s, row)) {
-            Step(s + 1);
-          } else {
-            ++step_counts_[s].unify_fails;
-          }
-          if (stop_) return;
-        }
-        return;
-      }
-      case PlanStepMode::kScan: {
-        const size_t rows = inst_.NumRows(step.relation);
-        for (size_t row = 0; row < rows; ++row) {
-          ++step_counts_[s].scan_rows;
-          if (UnifyRow(step, s, static_cast<uint32_t>(row))) {
-            Step(s + 1);
-          } else {
-            ++step_counts_[s].unify_fails;
-          }
-          if (stop_) return;
-        }
-        return;
-      }
-    }
-  }
-
-  bool UnifyRow(const PlanStep& step, size_t s, uint32_t row) {
-    (void)s;
-    const bool checked = !step.bind_checks.empty();
-    for (size_t i = 0; i < step.args.size(); ++i) {
-      const PlanArg& arg = step.args[i];
-      const Value& cell =
-          inst_.at(step.relation, row, static_cast<uint32_t>(i));
-      switch (arg.kind) {
-        case PlanArgKind::kLiteral:
-          if (cell != arg.literal) return false;
-          break;
-        case PlanArgKind::kCheck:
-          if (cell != regs_[arg.reg]) return false;
-          break;
-        case PlanArgKind::kBind:
-          if (checked && !BindOk(step.bind_checks[i], cell)) return false;
-          regs_[arg.reg] = cell;
-          break;
-      }
-    }
-    return true;
-  }
-
-  // Eager side-condition rejection at bind time; mirrors the interpretive
-  // BindOk so both paths reject the same candidates.
-  bool BindOk(const PlanBindChecks& checks, const Value& cell) const {
-    if (checks.must_be_constant && !cell.IsConstant()) return false;
-    for (const Value& other : checks.neq_literals) {
-      if (cell == other) return false;
-    }
-    for (uint16_t r : checks.neq_regs) {
-      if (cell == regs_[r]) return false;
-    }
-    return true;
-  }
-
-  void Emit() {
-    Assignment out = partial_;
-    for (size_t r = 0; r < regs_.size(); ++r) {
-      out.emplace(plan_.reg_vars[r], regs_[r]);  // preloads already present
-    }
-    // Final re-check of every side condition on the complete assignment
-    // (covers partners that were unbound at bind time and conditions over
-    // non-movable values), exactly like the interpretive FinalCheck.
-    for (const Value& v : options_.must_be_constant) {
-      if (!Resolve(out, v).IsConstant()) return;
-    }
-    for (const auto& [a, b] : options_.inequalities) {
-      if (Resolve(out, a) == Resolve(out, b)) return;
-    }
-    ++count_;
-    if (!fn_(out)) stop_ = true;
-  }
-
-  const MatchPlan& plan_;
-  const Instance& inst_;
-  const Assignment& partial_;
-  const HomSearchOptions& options_;
-  const std::function<bool(const Assignment&)>& fn_;
-  std::vector<Value> regs_;
-  std::vector<obs::ProfileAtomCounters> step_counts_;
-  size_t index_hits_ = 0;
-  size_t point_lookups_ = 0;
-  size_t count_ = 0;
-  bool stop_ = false;
-};
-
 }  // namespace
 
 const char* PlanStepModeName(PlanStepMode mode) {
@@ -545,11 +358,15 @@ MatchPlan CompileMatchPlan(const Conjunction& body, const Instance& instance,
   return plan;
 }
 
+void CountPlanCompile() {
+  static const obs::MetricId kCompiles =
+      obs::RegisterCounter("chase.plan.compiles");
+  obs::CounterAdd(kCompiles);
+}
+
 std::shared_ptr<const MatchPlan> GetOrCompileMatchPlan(
     const Conjunction& body, const Instance& instance,
     const Assignment& partial, const HomSearchOptions& options) {
-  static const obs::MetricId kCompiles =
-      obs::RegisterCounter("chase.plan.compiles");
   static const obs::MetricId kCacheHits =
       obs::RegisterCounter("chase.plan.cache_hits");
 
@@ -600,7 +417,7 @@ std::shared_ptr<const MatchPlan> GetOrCompileMatchPlan(
     auto plan = std::make_shared<const MatchPlan>(
         CompileMatchPlan(body, instance, partial, options));
     it->second.plan = plan;
-    obs::CounterAdd(kCompiles);
+    CountPlanCompile();
     return plan;
   }
   if (cache.slots.size() >= kMaxCacheSlots) {
@@ -612,7 +429,7 @@ std::shared_ptr<const MatchPlan> GetOrCompileMatchPlan(
   auto inserted = cache.slots.emplace(key, CacheEntry{plan});
   if (plan->stats_free) front.slots.emplace(key, plan);
   (void)inserted;
-  obs::CounterAdd(kCompiles);
+  CountPlanCompile();
   return plan;
 }
 
@@ -623,10 +440,18 @@ void ClearMatchPlanCache() {
   g_cache_version.fetch_add(1, std::memory_order_acq_rel);
 }
 
-size_t ForEachPlanMatch(const Conjunction& body, const Instance& target,
-                        const Assignment& partial,
-                        const HomSearchOptions& options,
-                        const std::function<bool(const Assignment&)>& fn) {
+void PlanCounts::Add(const PlanCounts& other) {
+  searches += other.searches;
+  matches += other.matches;
+  backtracks += other.backtracks;
+  index_lookups += other.index_lookups;
+  index_hits += other.index_hits;
+  index_rows += other.index_rows;
+  scan_rows += other.scan_rows;
+  point_lookups += other.point_lookups;
+}
+
+void FlushPlanCounts(const PlanCounts& counts) {
   static const obs::MetricId kSearches =
       obs::RegisterCounter("hom.searches");
   static const obs::MetricId kMatches = obs::RegisterCounter("hom.matches");
@@ -642,27 +467,216 @@ size_t ForEachPlanMatch(const Conjunction& body, const Instance& target,
       obs::RegisterCounter("chase.index.scan_rows");
   static const obs::MetricId kPointLookups =
       obs::RegisterCounter("chase.index.point_lookups");
+  obs::CounterAdd(kSearches, counts.searches);
+  obs::CounterAdd(kMatches, counts.matches);
+  obs::CounterAdd(kBacktracks, counts.backtracks);
+  obs::CounterAdd(kIndexLookups, counts.index_lookups);
+  obs::CounterAdd(kIndexHits, counts.index_hits);
+  obs::CounterAdd(kIndexRows, counts.index_rows);
+  obs::CounterAdd(kScanRows, counts.scan_rows);
+  obs::CounterAdd(kPointLookups, counts.point_lookups);
+}
 
-  std::shared_ptr<const MatchPlan> plan =
-      GetOrCompileMatchPlan(body, target, partial, options);
-  PlanRunner runner(*plan, target, partial, options, fn);
-  size_t count = runner.Run();
-  obs::CounterAdd(kSearches);
-  obs::CounterAdd(kMatches, count);
-  obs::CounterAdd(kBacktracks, runner.backtracks());
-  obs::CounterAdd(kIndexLookups, runner.index_probes());
-  obs::CounterAdd(kIndexHits, runner.index_hits());
-  obs::CounterAdd(kIndexRows, runner.index_rows());
-  obs::CounterAdd(kScanRows, runner.scan_rows());
-  obs::CounterAdd(kPointLookups, runner.point_lookups());
+// ---------------------------------------------------------------------
+// Plan execution: a recursive matcher over the flat register frame. No
+// map is touched; failed candidates leave registers dirty by design (a
+// register is only read by steps that run strictly after the step that
+// bound it succeeded).
+// ---------------------------------------------------------------------
+
+PlanMatcher::PlanMatcher(const MatchPlan& plan, const Instance& instance)
+    : plan_(plan),
+      inst_(instance),
+      regs_(plan.reg_vars.size()),
+      step_counts_(plan.steps.size()) {}
+
+size_t PlanMatcher::Run(const Value* preload, PlanSink* sink,
+                        PlanCounts* counts) {
+  for (size_t i = 0; i < plan_.preload_regs.size(); ++i) {
+    regs_[plan_.preload_regs[i]] = preload[i];
+  }
+  std::fill(step_counts_.begin(), step_counts_.end(),
+            obs::ProfileAtomCounters{});
+  sink_ = sink;
+  index_hits_ = 0;
+  point_lookups_ = 0;
+  count_ = 0;
+  stop_ = false;
+  Step(0);
+  uint64_t backtracks = 0;
+  ++counts->searches;
+  counts->matches += count_;
+  for (const obs::ProfileAtomCounters& c : step_counts_) {
+    backtracks += c.unify_fails;
+    counts->index_lookups += c.probes;
+    counts->index_rows += c.probe_rows;
+    counts->scan_rows += c.scan_rows;
+  }
+  counts->backtracks += backtracks;
+  counts->index_hits += index_hits_;
+  counts->point_lookups += point_lookups_;
   if (obs::ProfileSearchActive()) {
     // Map per-step telemetry back to the body's positions as written.
-    std::vector<obs::ProfileAtomCounters> atoms(body.size());
-    for (size_t s = 0; s < plan->perm.size(); ++s) {
-      atoms[plan->perm[s]] = runner.step_counts()[s];
+    std::vector<obs::ProfileAtomCounters> atoms(plan_.perm.size());
+    for (size_t s = 0; s < plan_.perm.size(); ++s) {
+      atoms[plan_.perm[s]] = step_counts_[s];
     }
-    obs::ProfileRecordSearch(count, runner.backtracks(), atoms);
+    obs::ProfileRecordSearch(count_, backtracks, atoms);
   }
+  return count_;
+}
+
+void PlanMatcher::Step(size_t s) {
+  if (stop_) return;
+  if (s == plan_.steps.size()) {
+    const MatchAction action =
+        sink_ != nullptr ? sink_->OnMatch(regs_.data()) : MatchAction::kStop;
+    if (action == MatchAction::kReject) return;
+    ++count_;
+    if (action == MatchAction::kStop) stop_ = true;
+    return;
+  }
+  const PlanStep& step = plan_.steps[s];
+  switch (step.mode) {
+    case PlanStepMode::kPointLookup: {
+      ++point_lookups_;
+      ++step_counts_[s].probes;
+      probe_.clear();
+      for (const PlanArg& arg : step.args) {
+        probe_.push_back(arg.kind == PlanArgKind::kLiteral ? arg.literal
+                                                           : regs_[arg.reg]);
+      }
+      if (!inst_.ContainsFact(step.relation, probe_)) return;
+      ++index_hits_;
+      ++step_counts_[s].probe_rows;
+      Step(s + 1);
+      return;
+    }
+    case PlanStepMode::kProbe: {
+      const std::vector<uint32_t>* candidates = nullptr;
+      for (uint16_t col : step.probe_cols) {
+        ++step_counts_[s].probes;
+        const PlanArg& arg = step.args[col];
+        const std::vector<uint32_t>* ids = inst_.RowsWith(
+            step.relation, col,
+            arg.kind == PlanArgKind::kLiteral ? arg.literal : regs_[arg.reg]);
+        if (ids == nullptr) return;  // no row carries this column value
+        ++index_hits_;
+        if (candidates == nullptr || ids->size() < candidates->size()) {
+          candidates = ids;
+        }
+      }
+      for (uint32_t row : *candidates) {
+        ++step_counts_[s].probe_rows;
+        if (UnifyRow(step, row)) {
+          Step(s + 1);
+        } else {
+          ++step_counts_[s].unify_fails;
+        }
+        if (stop_) return;
+      }
+      return;
+    }
+    case PlanStepMode::kScan: {
+      const uint32_t rows = inst_.NumRows(step.relation);
+      for (uint32_t row = 0; row < rows; ++row) {
+        ++step_counts_[s].scan_rows;
+        if (UnifyRow(step, row)) {
+          Step(s + 1);
+        } else {
+          ++step_counts_[s].unify_fails;
+        }
+        if (stop_) return;
+      }
+      return;
+    }
+  }
+}
+
+bool PlanMatcher::UnifyRow(const PlanStep& step, uint32_t row) {
+  const bool checked = !step.bind_checks.empty();
+  for (size_t i = 0; i < step.args.size(); ++i) {
+    const PlanArg& arg = step.args[i];
+    const Value& cell = inst_.at(step.relation, row, static_cast<uint32_t>(i));
+    switch (arg.kind) {
+      case PlanArgKind::kLiteral:
+        if (cell != arg.literal) return false;
+        break;
+      case PlanArgKind::kCheck:
+        if (cell != regs_[arg.reg]) return false;
+        break;
+      case PlanArgKind::kBind:
+        if (checked && !BindOk(step.bind_checks[i], cell)) return false;
+        regs_[arg.reg] = cell;
+        break;
+    }
+  }
+  return true;
+}
+
+// Eager side-condition rejection at bind time; mirrors the interpretive
+// BindOk so both paths reject the same candidates.
+bool PlanMatcher::BindOk(const PlanBindChecks& checks,
+                         const Value& cell) const {
+  if (checks.must_be_constant && !cell.IsConstant()) return false;
+  for (const Value& other : checks.neq_literals) {
+    if (cell == other) return false;
+  }
+  for (uint16_t r : checks.neq_regs) {
+    if (cell == regs_[r]) return false;
+  }
+  return true;
+}
+
+size_t ForEachPlanMatch(const Conjunction& body, const Instance& target,
+                        const Assignment& partial,
+                        const HomSearchOptions& options,
+                        const std::function<bool(const Assignment&)>& fn) {
+  std::shared_ptr<const MatchPlan> plan =
+      GetOrCompileMatchPlan(body, target, partial, options);
+  std::vector<Value> preload;
+  preload.reserve(plan->preload_regs.size());
+  for (uint16_t r : plan->preload_regs) {
+    auto it = partial.find(plan->reg_vars[r]);
+    if (it == partial.end()) return 0;  // key-set mismatch: cannot match
+    preload.push_back(it->second);
+  }
+  // Emits the full assignment: the partial plus every register, after a
+  // final re-check of every side condition (covers partners that were
+  // unbound at bind time and conditions over non-movable values), exactly
+  // like the interpretive FinalCheck.
+  class AssignmentSink final : public PlanSink {
+   public:
+    AssignmentSink(const MatchPlan& plan, const Assignment& partial,
+                   const HomSearchOptions& options,
+                   const std::function<bool(const Assignment&)>& fn)
+        : plan_(plan), partial_(partial), options_(options), fn_(fn) {}
+
+    MatchAction OnMatch(const Value* regs) override {
+      Assignment out = partial_;
+      for (size_t r = 0; r < plan_.reg_vars.size(); ++r) {
+        out.emplace(plan_.reg_vars[r], regs[r]);  // preloads already present
+      }
+      for (const Value& v : options_.must_be_constant) {
+        if (!Resolve(out, v).IsConstant()) return MatchAction::kReject;
+      }
+      for (const auto& [a, b] : options_.inequalities) {
+        if (Resolve(out, a) == Resolve(out, b)) return MatchAction::kReject;
+      }
+      return fn_(out) ? MatchAction::kContinue : MatchAction::kStop;
+    }
+
+   private:
+    const MatchPlan& plan_;
+    const Assignment& partial_;
+    const HomSearchOptions& options_;
+    const std::function<bool(const Assignment&)>& fn_;
+  };
+  AssignmentSink sink(*plan, partial, options, fn);
+  PlanMatcher matcher(*plan, target);
+  PlanCounts counts;
+  size_t count = matcher.Run(preload.data(), &sink, &counts);
+  FlushPlanCounts(counts);
   return count;
 }
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "base/value.h"
+#include "obs/profiler.h"
 #include "relational/atom.h"
 #include "relational/homomorphism.h"
 #include "relational/instance.h"
@@ -153,10 +154,85 @@ std::shared_ptr<const MatchPlan> GetOrCompileMatchPlan(
     const Conjunction& body, const Instance& instance,
     const Assignment& partial, const HomSearchOptions& options);
 
+/// Counts one compilation a caller made itself with CompileMatchPlan (the
+/// chase compiles each dependency's plans once per run, bypassing the
+/// cache) in chase.plan.compiles.
+void CountPlanCompile();
+
 /// Drops every cached plan (tests and bench windows). Thread-compatible
 /// with concurrent GetOrCompileMatchPlan calls; in-flight executions keep
 /// their shared_ptr.
 void ClearMatchPlanCache();
+
+/// What a PlanSink decides about one candidate match.
+enum class MatchAction : uint8_t {
+  kReject = 0,    ///< not a match after all (a side condition failed)
+  kContinue = 1,  ///< a match; keep searching
+  kStop = 2,      ///< a match; end the search
+};
+
+/// Receives the matches of a PlanMatcher search.
+class PlanSink {
+ public:
+  /// `regs` holds one value per plan register (MatchPlan::reg_vars order).
+  virtual MatchAction OnMatch(const Value* regs) = 0;
+
+ protected:
+  ~PlanSink() = default;
+};
+
+/// Work counters of plan searches, summed by the caller and mirrored into
+/// the hom.* / chase.index.* registry counters by FlushPlanCounts — the
+/// same counters the interpretive matcher reports per search.
+struct PlanCounts {
+  uint64_t searches = 0;
+  uint64_t matches = 0;
+  uint64_t backtracks = 0;
+  uint64_t index_lookups = 0;
+  uint64_t index_hits = 0;
+  uint64_t index_rows = 0;
+  uint64_t scan_rows = 0;
+  uint64_t point_lookups = 0;
+
+  void Add(const PlanCounts& other);
+};
+
+/// Adds `counts` to the hom.* / chase.index.* registry counters.
+void FlushPlanCounts(const PlanCounts& counts);
+
+/// Runs one compiled plan against one instance, search after search, with
+/// no per-search allocation: the register frame, the point-lookup probe
+/// buffer and the per-step counters live as long as the matcher. The
+/// chase builds one per dependency and thread and calls Run once per
+/// trigger. Not thread-safe; threads share the immutable MatchPlan and
+/// each runs its own matcher. The plan and instance must outlive it.
+class PlanMatcher {
+ public:
+  PlanMatcher(const MatchPlan& plan, const Instance& instance);
+
+  /// One search. `preload[i]` is the value of register
+  /// `plan.preload_regs[i]`. Each candidate match goes to `sink`; a null
+  /// sink accepts the first match and stops. Returns the number of
+  /// matches, adds the search's work to `*counts` (searches += 1), and,
+  /// when a profiler search scope is active, reports the per-atom work.
+  size_t Run(const Value* preload, PlanSink* sink, PlanCounts* counts);
+
+ private:
+  void Step(size_t s);
+  bool UnifyRow(const PlanStep& step, uint32_t row);
+  bool BindOk(const PlanBindChecks& checks, const Value& cell) const;
+
+  const MatchPlan& plan_;
+  const Instance& inst_;
+  PlanSink* sink_ = nullptr;
+  std::vector<Value> regs_;
+  Tuple probe_;
+  std::vector<obs::ProfileAtomCounters> step_counts_;
+  size_t index_hits_ = 0;
+  size_t point_lookups_ = 0;
+  size_t count_ = 0;
+  bool stop_ = false;
+};
 
 /// Plan-executing equivalent of ForEachHomomorphism: compiles (or fetches)
 /// the plan and runs it. Flushes the same hom.* / chase.index.* counters

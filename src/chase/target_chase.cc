@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "base/budget.h"
+#include "chase/chase.h"
 #include "chase/trigger_finder.h"
 #include "obs/budget_obs.h"
 #include "obs/journal.h"
@@ -189,6 +190,17 @@ Result<TargetChaseResult> ChaseWithTargetConstraints(
   HomSearchOptions search_options;
   search_options.use_index = options.use_index;
   search_options.use_compiled_plan = options.use_compiled_plan;
+  // Firing goes through the s-t chase's single firing path: each target
+  // tgd's rhs compiled once into a FireProgram over its trigger slots.
+  std::vector<std::vector<Value>> ttgd_slots;
+  std::vector<FireProgram> ttgd_programs;
+  ttgd_slots.reserve(constraints.tgds.size());
+  ttgd_programs.reserve(constraints.tgds.size());
+  for (const Tgd& tgd : constraints.tgds) {
+    ttgd_slots.push_back(TriggerSlots(tgd.lhs, search_options));
+    ttgd_programs.emplace_back(tgd, ttgd_slots.back());
+  }
+  std::vector<Value> row;
 
   // Fixpoint loop: egds first (cheap, and merging can satisfy tgds),
   // then target tgds.
@@ -256,49 +268,33 @@ Result<TargetChaseResult> ChaseWithTargetConstraints(
       std::optional<Assignment> trigger =
           FindTgdTrigger(target_inst, tgd, search_options, prof_ttgds[ti]);
       if (!trigger.has_value()) continue;
-      std::vector<uint64_t> parent_ids;
-      std::vector<uint64_t> null_ids;
+      std::optional<JournalFireObserver> journal_observer;
       if (journal.active()) {
+        journal_observer.emplace(journal, ttgd_texts[ti], ti, *trigger,
+                                 *m.target);
         for (const Atom& atom :
              ApplyAssignmentToConjunction(tgd.lhs, *trigger)) {
-          parent_ids.push_back(
+          journal_observer->parent_ids.push_back(
               journal.RecordBaseFact(AtomToString(atom, *m.target)));
         }
       }
-      Assignment extended = *trigger;
-      size_t fresh_nulls = 0;
-      for (const Value& y : tgd.ExistentialVariables()) {
-        Value fresh = Value::MakeNull(next_null++);
-        extended.emplace(y, fresh);
-        ++st.nulls_minted;
-        ++fresh_nulls;
-        if (journal.active()) {
-          null_ids.push_back(journal.RecordNull(
-              fresh.ToString(), y.ToString(), ttgd_texts[ti],
-              static_cast<int32_t>(ti)));
-        }
-      }
-      if (fresh_nulls > 0) {
-        Status charge = guard.ChargeNulls(fresh_nulls);
-        if (!charge.ok()) return trip(std::move(charge));
-      }
-      for (const Atom& atom :
-           ApplyAssignmentToConjunction(tgd.rhs, extended)) {
-        Status charge = guard.ChargeMemory(
-            ApproxFactBytes(atom.args.size(), sizeof(Value)));
-        if (!charge.ok()) return trip(std::move(charge));
-        QIMAP_RETURN_IF_ERROR(target_inst.AddFact(atom.relation, atom.args));
-        if (journal.active()) {
-          journal.RecordDerivedFact(AtomToString(atom, *m.target),
-                                    ttgd_texts[ti],
-                                    static_cast<int32_t>(ti),
-                                    AssignmentToString(*trigger),
-                                    parent_ids, null_ids);
-        }
+      row.resize(ttgd_slots[ti].size());
+      EncodeTriggerRow(ttgd_slots[ti], *trigger, row.data());
+      FireCounts fire_counts;
+      Status status = ttgd_programs[ti].Fire(
+          row.data(), &target_inst, &next_null, &guard,
+          journal_observer.has_value() ? &*journal_observer : nullptr,
+          &fire_counts);
+      st.nulls_minted += fire_counts.nulls;
+      if (!status.ok()) {
+        // A refused null or memory charge is a budget trip; anything else
+        // (a malformed fact) is returned as is.
+        if (guard.exhausted()) return trip(std::move(status));
+        return status;
       }
       ++st.tgd_fires;
-      obs::ProfileRecordFire(prof_ttgds[ti], fresh_nulls,
-                             tgd.rhs.size());
+      obs::ProfileRecordFire(prof_ttgds[ti], fire_counts.nulls,
+                             fire_counts.facts);
       fired = true;
       break;
     }

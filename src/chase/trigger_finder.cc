@@ -1,8 +1,10 @@
 #include "chase/trigger_finder.h"
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 
+#include "chase/match_plan.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 
@@ -65,19 +67,21 @@ std::vector<Assignment> FindDeltaTriggers(
   return std::vector<Assignment>(found.begin(), found.end());
 }
 
-Result<std::vector<std::vector<Assignment>>> FindTriggerBatches(
-    const std::vector<const Conjunction*>& bodies,
-    const std::vector<HomSearchOptions>& options, const Instance& inst,
-    ThreadPool& pool, Budget* budget,
-    const std::vector<uint32_t>* delta_epoch,
-    const std::vector<uint32_t>* profile_deps) {
-  std::vector<std::vector<Assignment>> batches(bodies.size());
-  std::vector<Status> statuses(bodies.size());
-  CountParallelFanout(pool, bodies.size());
+namespace {
+
+// The fan-out shared by both batch collectors: runs `collect(i)` (which
+// returns body i's batch size) for every body over `pool`, under the
+// budget and profiler contract FindTriggerBatches documents.
+template <typename Collect>
+Status CollectBatches(size_t num_bodies, ThreadPool& pool, Budget* budget,
+                      const std::vector<uint32_t>* profile_deps,
+                      const Collect& collect) {
+  std::vector<Status> statuses(num_bodies);
+  CountParallelFanout(pool, num_bodies);
   const Cancellation* cancel =
       budget != nullptr ? budget->cancellation() : nullptr;
   pool.ParallelFor(
-      bodies.size(),
+      num_bodies,
       [&](size_t i) {
         if (budget != nullptr) {
           statuses[i] = budget->OnPoolTask("trigger collection");
@@ -86,13 +90,7 @@ Result<std::vector<std::vector<Assignment>>> FindTriggerBatches(
         uint32_t dep = profile_deps != nullptr ? (*profile_deps)[i]
                                                : obs::kProfileNoDep;
         obs::ProfiledDepScope scope(dep, obs::ProfilePhase::kCollect);
-        const HomSearchOptions& opts =
-            options.size() == 1 ? options[0] : options[i];
-        batches[i] =
-            delta_epoch != nullptr
-                ? FindDeltaTriggers(*bodies[i], inst, *delta_epoch, opts)
-                : FindTriggers(*bodies[i], inst, opts);
-        obs::ProfileRecordTriggers(dep, batches[i].size());
+        obs::ProfileRecordTriggers(dep, collect(i));
       },
       cancel);
   if (budget != nullptr) {
@@ -103,10 +101,153 @@ Result<std::vector<std::vector<Assignment>>> FindTriggerBatches(
       QIMAP_RETURN_IF_ERROR(status);
     }
     QIMAP_RETURN_IF_ERROR(budget->Check("trigger collection"));
-    for (size_t i = 0; i < bodies.size(); ++i) {
+    for (size_t i = 0; i < num_bodies; ++i) {
       QIMAP_RETURN_IF_ERROR(budget->OnTriggerBatch("trigger collection"));
     }
   }
+  return Status::OK();
+}
+
+// Writes each compiled-plan match's slot values into a new row.
+class RowSink final : public PlanSink {
+ public:
+  RowSink(const MatchPlan& plan, const std::vector<Value>& slots,
+          TriggerRows* rows)
+      : rows_(rows) {
+    slot_regs_.reserve(slots.size());
+    for (const Value& slot : slots) {
+      auto it = std::find(plan.reg_vars.begin(), plan.reg_vars.end(), slot);
+      slot_regs_.push_back(static_cast<uint16_t>(it - plan.reg_vars.begin()));
+    }
+  }
+
+  MatchAction OnMatch(const Value* regs) override {
+    Value* row = rows_->Append();
+    for (size_t j = 0; j < slot_regs_.size(); ++j) row[j] = regs[slot_regs_[j]];
+    return MatchAction::kContinue;
+  }
+
+ private:
+  TriggerRows* rows_;
+  std::vector<uint16_t> slot_regs_;  // slot j -> its plan register
+};
+
+}  // namespace
+
+Result<std::vector<std::vector<Assignment>>> FindTriggerBatches(
+    const std::vector<const Conjunction*>& bodies,
+    const std::vector<HomSearchOptions>& options, const Instance& inst,
+    ThreadPool& pool, Budget* budget,
+    const std::vector<uint32_t>* profile_deps) {
+  std::vector<std::vector<Assignment>> batches(bodies.size());
+  QIMAP_RETURN_IF_ERROR(CollectBatches(
+      bodies.size(), pool, budget, profile_deps, [&](size_t i) {
+        batches[i] = FindTriggers(
+            *bodies[i], inst, options.size() == 1 ? options[0] : options[i]);
+        return batches[i].size();
+      }));
+  return batches;
+}
+
+std::vector<Value> TriggerSlots(const Conjunction& body,
+                                const HomSearchOptions& options) {
+  std::vector<Value> slots;
+  for (const Atom& atom : body) {
+    for (const Value& arg : atom.args) {
+      if (IsMovableValue(arg, options)) slots.push_back(arg);
+    }
+  }
+  std::sort(slots.begin(), slots.end());
+  slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
+  return slots;
+}
+
+void EncodeTriggerRow(const std::vector<Value>& slots, const Assignment& h,
+                      Value* row) {
+  for (size_t j = 0; j < slots.size(); ++j) row[j] = Resolve(h, slots[j]);
+}
+
+Assignment DecodeTriggerRow(const std::vector<Value>& slots,
+                            const Value* row) {
+  Assignment h;
+  for (size_t j = 0; j < slots.size(); ++j) {
+    h.emplace_hint(h.end(), slots[j], row[j]);
+  }
+  return h;
+}
+
+Value* TriggerRows::Append() {
+  cells_.resize(cells_.size() + width_);
+  ++size_;
+  return cells_.data() + cells_.size() - width_;
+}
+
+bool TriggerRowLess(const Value* a, const Value* b, size_t width) {
+  for (size_t j = 0; j < width; ++j) {
+    if (a[j] != b[j]) return a[j] < b[j];
+  }
+  return false;
+}
+
+void TriggerRows::Sort() {
+  if (width_ == 0 || size_ < 2) return;  // width-0 rows are all equal
+  std::vector<uint32_t> order(size_);
+  std::iota(order.begin(), order.end(), 0u);
+  const Value* cells = cells_.data();
+  const size_t width = width_;
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return TriggerRowLess(cells + a * width, cells + b * width, width);
+  });
+  std::vector<Value> sorted;
+  sorted.reserve(cells_.size());
+  for (uint32_t i : order) {
+    sorted.insert(sorted.end(), cells + i * width, cells + (i + 1) * width);
+  }
+  cells_ = std::move(sorted);
+}
+
+TriggerRows FindTriggerRows(const Conjunction& body,
+                            const std::vector<Value>& slots,
+                            const Instance& inst,
+                            const HomSearchOptions& options) {
+  TriggerRows rows(slots.size());
+  if (options.use_index && options.use_compiled_plan && !body.empty()) {
+    const MatchPlan plan = CompileMatchPlan(body, inst, {}, options);
+    CountPlanCompile();
+    RowSink sink(plan, slots, &rows);
+    PlanMatcher matcher(plan, inst);
+    PlanCounts counts;
+    matcher.Run(nullptr, &sink, &counts);
+    FlushPlanCounts(counts);
+    rows.Sort();
+    return rows;
+  }
+  for (const Assignment& h : FindTriggers(body, inst, options)) {
+    EncodeTriggerRow(slots, h, rows.Append());
+  }
+  return rows;
+}
+
+Result<std::vector<TriggerRows>> FindTriggerRowBatches(
+    const std::vector<const Conjunction*>& bodies,
+    const std::vector<std::vector<Value>>& slots,
+    const HomSearchOptions& options, const Instance& inst, ThreadPool& pool,
+    Budget* budget, const std::vector<uint32_t>* delta_epoch,
+    const std::vector<uint32_t>* profile_deps) {
+  std::vector<TriggerRows> batches(bodies.size());
+  QIMAP_RETURN_IF_ERROR(CollectBatches(
+      bodies.size(), pool, budget, profile_deps, [&](size_t i) {
+        if (delta_epoch == nullptr) {
+          batches[i] = FindTriggerRows(*bodies[i], slots[i], inst, options);
+        } else {
+          batches[i] = TriggerRows(slots[i].size());
+          for (const Assignment& h :
+               FindDeltaTriggers(*bodies[i], inst, *delta_epoch, options)) {
+            EncodeTriggerRow(slots[i], h, batches[i].Append());
+          }
+        }
+        return batches[i].size();
+      }));
   return batches;
 }
 

@@ -63,10 +63,6 @@ std::vector<Assignment> FindDeltaTriggers(const Conjunction& body,
 /// status (lowest failing body index wins, so the error is deterministic
 /// at any thread count) instead of the batches when a limit trips.
 ///
-/// When `delta_epoch` is non-null every body is collected semi-naively
-/// (`FindDeltaTriggers` against that epoch) instead of in full — the
-/// incremental chase's phase 1.
-///
 /// When `profile_deps` is non-null (one profiler dependency id per body,
 /// see obs/profiler.h), each body's collection runs under that id's
 /// collect-phase scope and its sorted batch size is recorded, so the
@@ -76,6 +72,73 @@ Result<std::vector<std::vector<Assignment>>> FindTriggerBatches(
     const std::vector<const Conjunction*>& bodies,
     const std::vector<HomSearchOptions>& options, const Instance& inst,
     ThreadPool& pool, Budget* budget = nullptr,
+    const std::vector<uint32_t>* profile_deps = nullptr);
+
+/// The movable values of `body` under `options` (variables, and nulls
+/// when `map_nulls`), sorted and distinct: the keys every match of `body`
+/// binds, in the order an Assignment stores them. A trigger row holds one
+/// value per slot.
+std::vector<Value> TriggerSlots(const Conjunction& body,
+                                const HomSearchOptions& options);
+
+/// Writes `h`'s image of each slot into `row` (`slots.size()` cells).
+void EncodeTriggerRow(const std::vector<Value>& slots, const Assignment& h,
+                      Value* row);
+
+/// The Assignment a trigger row stands for: slots[i] -> row[i].
+Assignment DecodeTriggerRow(const std::vector<Value>& slots,
+                            const Value* row);
+
+/// One dependency's lhs matches as fixed-width rows of interned values
+/// in a flat arena, one column per slot (TriggerSlots). All matches of
+/// one body bind the same keys, so comparing rows lexicographically
+/// compares the matches' Assignments: `Sort` yields exactly the canonical
+/// order FindTriggers produces.
+class TriggerRows {
+ public:
+  explicit TriggerRows(size_t width = 0) : width_(width) {}
+
+  size_t width() const { return width_; }
+  size_t size() const { return size_; }
+  const Value* row(size_t i) const { return cells_.data() + i * width_; }
+
+  /// Appends a row and returns its `width()` cells for the caller to fill.
+  Value* Append();
+  /// Sorts the rows lexicographically (the canonical trigger order).
+  void Sort();
+
+ private:
+  size_t width_;
+  size_t size_ = 0;
+  std::vector<Value> cells_;
+};
+
+/// True iff row `a` sorts before row `b` (both `width` cells).
+bool TriggerRowLess(const Value* a, const Value* b, size_t width);
+
+/// The sorted trigger rows of `body` against `inst`, one row per match,
+/// `slots` = TriggerSlots(body, options). On the indexed compiled path
+/// (`use_index` and `use_compiled_plan`) the body is compiled once with
+/// CompileMatchPlan — counted in chase.plan.compiles — and run directly,
+/// each match written straight into the arena; otherwise the
+/// interpretive or full-scan matcher's sorted Assignments are encoded.
+/// Decoding the rows gives exactly FindTriggers(body, inst, options).
+TriggerRows FindTriggerRows(const Conjunction& body,
+                            const std::vector<Value>& slots,
+                            const Instance& inst,
+                            const HomSearchOptions& options);
+
+/// Row form of FindTriggerBatches for the s-t chase: one sorted
+/// TriggerRows per body (`slots[i]` its layout), with the same fan-out,
+/// budget and profiler contract. When `delta_epoch` is non-null every
+/// body is collected semi-naively (`FindDeltaTriggers` against that
+/// epoch, then encoded) instead of in full — the incremental chase's
+/// phase 1.
+Result<std::vector<TriggerRows>> FindTriggerRowBatches(
+    const std::vector<const Conjunction*>& bodies,
+    const std::vector<std::vector<Value>>& slots,
+    const HomSearchOptions& options, const Instance& inst, ThreadPool& pool,
+    Budget* budget = nullptr,
     const std::vector<uint32_t>* delta_epoch = nullptr,
     const std::vector<uint32_t>* profile_deps = nullptr);
 

@@ -54,12 +54,6 @@ Value FreshZ(size_t index) {
   return Value::MakeVariable("#z" + std::to_string(index + 1));
 }
 
-// A value's integer code, (kind << 32) | id. Codes order exactly like
-// Value's (kind, id) comparison, so sorting codes sorts values.
-uint64_t ValueCode(const Value& v) {
-  return (static_cast<uint64_t>(v.kind()) << 32) | v.id();
-}
-
 constexpr uint64_t kVariableKind = static_cast<uint64_t>(ValueKind::kVariable);
 
 // The shared variables x as a sorted code table: membership and the slot
@@ -626,12 +620,21 @@ Result<std::vector<Conjunction>> MinGen(const SchemaMapping& m,
   //    psi embeds into one with x frozen iff it embeds into the other —
   //    the decision IsGenerator reaches by re-chasing I_c from scratch.
   const std::vector<Tgd>& tgds = m.tgds;
-  std::vector<std::vector<Value>> existentials;
+  const HomSearchOptions hom_options;
+  // Delta triggers arrive as Assignments from FindDeltaTriggers; each is
+  // encoded into its tgd's trigger row and fired through the chase's
+  // FireProgram.
+  std::vector<std::vector<Value>> slots;
+  std::vector<FireProgram> fire_programs;
   std::vector<bool> lhs_relation(m.source->size(), false);
+  slots.reserve(tgds.size());
+  fire_programs.reserve(tgds.size());
   for (const Tgd& tgd : tgds) {
-    existentials.push_back(tgd.ExistentialVariables());
+    slots.push_back(TriggerSlots(tgd.lhs, hom_options));
+    fire_programs.emplace_back(tgd, slots.back());
     for (const Atom& atom : tgd.lhs) lhs_relation[atom.relation] = true;
   }
+  std::vector<Value> trigger_row;
   // Slots of the x values psi mentions: a parent missing one of them
   // cannot embed psi with x frozen.
   std::vector<size_t> psi_x_slots;
@@ -641,7 +644,6 @@ Result<std::vector<Conjunction>> MinGen(const SchemaMapping& m,
   }
   Assignment frozen_x;
   for (const Value& v : x) frozen_x.emplace(v, v);
-  const HomSearchOptions hom_options;
   auto embeds_psi = [&](const Instance& solution) {
     return FindHomomorphism(psi, solution, frozen_x, hom_options)
         .has_value();
@@ -759,9 +761,11 @@ Result<std::vector<Conjunction>> MinGen(const SchemaMapping& m,
             Instance solution = *parent_solution;
             uint32_t next_null = first_delta_null;
             for (size_t d = 0; d < tgds.size(); ++d) {
+              trigger_row.resize(slots[d].size());
               for (const Assignment& h : delta[d]) {
-                Status fired = FireTrigger(tgds[d], existentials[d], h,
-                                           &solution, &next_null, &guard);
+                EncodeTriggerRow(slots[d], h, trigger_row.data());
+                Status fired = fire_programs[d].Fire(
+                    trigger_row.data(), &solution, &next_null, &guard);
                 if (!fired.ok()) return fail(std::move(fired));
               }
             }

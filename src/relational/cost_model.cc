@@ -18,7 +18,7 @@ CostModel CostModel::FromInstance(const Instance& inst) {
     model.total_facts += stats.rows;
     stats.columns.resize(sym.arity);
     for (uint32_t c = 0; c < sym.arity; ++c) {
-      // The column's posting map carries the distinct count
+      // The column's posting index carries the distinct count
       // incrementally, so statistics cost O(columns), not O(cells).
       uint64_t distinct = inst.ColumnDistinct(r, c);
       stats.columns[c].distinct = distinct;

@@ -25,7 +25,66 @@ uint64_t FactFingerprint(RelationId relation, uint64_t tuple_hash) {
   return h ^ (h >> 31);
 }
 
+// Posting-table slot of a value code: Fibonacci multiplicative hash,
+// folded so the low bits the mask keeps depend on every code bit.
+inline size_t PostingSlot(uint64_t code, size_t mask) {
+  uint64_t h = code * 0x9E3779B97F4A7C15ULL;
+  return static_cast<size_t>(h ^ (h >> 32)) & mask;
+}
+
 }  // namespace
+
+uint32_t Instance::PostingIndex::IndexOf(uint64_t code) const {
+  if (table.empty()) {
+    for (size_t i = 0; i < codes.size(); ++i) {
+      if (codes[i] == code) return static_cast<uint32_t>(i);
+    }
+    return kNoEntry;
+  }
+  const size_t mask = table.size() - 1;
+  for (size_t i = PostingSlot(code, mask);; i = (i + 1) & mask) {
+    const uint32_t entry = table[i];
+    if (entry == kEmptySlot) return kNoEntry;
+    if (codes[entry] == code) return entry;
+  }
+}
+
+const std::vector<uint32_t>* Instance::PostingIndex::Find(
+    uint64_t code) const {
+  const uint32_t entry = IndexOf(code);
+  return entry != kNoEntry ? &lists[entry] : nullptr;
+}
+
+void Instance::PostingIndex::Rehash(size_t capacity) {
+  table.assign(capacity, kEmptySlot);
+  const size_t mask = capacity - 1;
+  for (size_t entry = 0; entry < codes.size(); ++entry) {
+    size_t i = PostingSlot(codes[entry], mask);
+    while (table[i] != kEmptySlot) i = (i + 1) & mask;
+    table[i] = static_cast<uint32_t>(entry);
+  }
+}
+
+void Instance::PostingIndex::Add(uint64_t code, uint32_t row) {
+  const uint32_t entry = IndexOf(code);
+  if (entry != kNoEntry) {
+    lists[entry].push_back(row);
+    return;
+  }
+  codes.push_back(code);
+  lists.push_back({row});
+  if (codes.size() <= kDensePostings) return;
+  // Keep the load at or below 3/4; promotion from the dense scan starts
+  // at 16 slots.
+  if (table.empty() || codes.size() * 4 > table.size() * 3) {
+    Rehash(table.empty() ? 16 : table.size() * 2);
+    return;
+  }
+  const size_t mask = table.size() - 1;
+  size_t i = PostingSlot(code, mask);
+  while (table[i] != kEmptySlot) i = (i + 1) & mask;
+  table[i] = static_cast<uint32_t>(codes.size() - 1);
+}
 
 bool Instance::ColumnStore::RowEquals(uint32_t row,
                                       const Tuple& tuple) const {
@@ -66,7 +125,7 @@ void Instance::ColumnStore::IndexNewRow(uint32_t row_id, uint64_t hash) {
   slots[i] = row_id;
 }
 
-Status Instance::AddFact(RelationId relation, Tuple tuple) {
+Status Instance::AddFact(RelationId relation, const Tuple& tuple) {
   if (relation >= schema_->size()) {
     return Status::InvalidArgument("bad relation id");
   }
@@ -86,7 +145,7 @@ Status Instance::AddFact(RelationId relation, Tuple tuple) {
   store.hashes.push_back(hash);
   store.IndexNewRow(row_id, hash);
   for (uint32_t c = 0; c < symbol.arity; ++c) {
-    store.postings[c][tuple[c]].push_back(row_id);
+    store.postings[c].Add(ValueCode(tuple[c]), row_id);
     store.columns[c].push_back(tuple[c]);
   }
   ++store.num_rows;
@@ -94,10 +153,11 @@ Status Instance::AddFact(RelationId relation, Tuple tuple) {
   return Status::OK();
 }
 
-Status Instance::AddFact(std::string_view relation_name, Tuple tuple) {
+Status Instance::AddFact(std::string_view relation_name,
+                         const Tuple& tuple) {
   QIMAP_ASSIGN_OR_RETURN(RelationId id,
                          schema_->FindRelation(relation_name));
-  return AddFact(id, std::move(tuple));
+  return AddFact(id, tuple);
 }
 
 bool Instance::ContainsFact(RelationId relation, const Tuple& tuple) const {
@@ -115,14 +175,6 @@ Tuple Instance::Row(RelationId relation, uint32_t row) const {
     out.push_back(column[row]);
   }
   return out;
-}
-
-const std::vector<uint32_t>* Instance::RowsWith(RelationId relation,
-                                                uint32_t col,
-                                                const Value& v) const {
-  const auto& postings = stores_[relation].postings[col];
-  auto it = postings.find(v);
-  return it != postings.end() ? &it->second : nullptr;
 }
 
 size_t Instance::NumFacts() const {

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "base/status.h"
@@ -46,14 +45,28 @@ struct Fact {
 /// Storage is insert-only, column-major, and hash-indexed. Each relation
 /// keeps one dense `std::vector<Value>` per column (row id = insertion
 /// order, shared across the columns), an open-addressed full-tuple slot
-/// table for membership and duplicate absorption, and a posting list on
+/// table for membership and duplicate absorption, and a posting index on
 /// *every* column mapping each distinct value to the ascending row ids
-/// carrying it. The homomorphism matcher probes whichever determined
-/// column has the smallest posting list and falls back to a columnar scan;
-/// per-column distinct counts are maintained incrementally (the posting
-/// map sizes), so `CostModel::FromInstance` reads statistics instead of
-/// rescanning. `AddFact` is amortized O(arity); there is no per-insert
-/// log factor.
+/// carrying it.
+///
+/// Posting layout, per column: `codes` holds each distinct value's 64-bit
+/// code (`ValueCode`, `(kind << 32) | id`) in first-appearance order and
+/// `lists` the parallel ascending row-id lists. A column with at most
+/// `kDensePostings` (8) distinct values is looked up by scanning `codes`
+/// and allocates no hash table — this keeps the thousands of tiny
+/// canonical instances MinGen builds small. The ninth distinct value
+/// promotes the column to an open-addressed table (power-of-two capacity,
+/// linear probing, load ≤ 3/4) of indexes into `codes`, keyed by a
+/// multiplicative hash of the code; it doubles and rehashes from `codes`
+/// alone. Constants, nulls and variables that share a numeric id differ
+/// in the kind bits, so they index separately.
+///
+/// The homomorphism matcher probes whichever determined column has the
+/// smallest posting list and falls back to a columnar scan; per-column
+/// distinct counts are `codes.size()`, so `CostModel::FromInstance` reads
+/// statistics instead of rescanning. `AddFact` is amortized O(arity);
+/// there is no per-insert log factor. A `RowsWith` pointer stays valid
+/// until the next `AddFact` on the same relation.
 class Instance {
  public:
   /// Creates the empty instance over `schema`. The schema is shared, not
@@ -68,9 +81,10 @@ class Instance {
   const SchemaPtr& schema() const { return schema_; }
 
   /// Adds a fact; returns InvalidArgument on arity mismatch or bad id.
-  Status AddFact(RelationId relation, Tuple tuple);
+  /// The cells are copied, so callers may reuse `tuple` as a buffer.
+  Status AddFact(RelationId relation, const Tuple& tuple);
   /// Adds a fact by relation name.
-  Status AddFact(std::string_view relation_name, Tuple tuple);
+  Status AddFact(std::string_view relation_name, const Tuple& tuple);
 
   /// Returns true iff the fact is present (one full-tuple hash probe).
   bool ContainsFact(RelationId relation, const Tuple& tuple) const;
@@ -92,7 +106,9 @@ class Instance {
   /// Row ids (ascending) of the rows whose column `col` equals `v`, or
   /// nullptr when there are none. Every column is indexed.
   const std::vector<uint32_t>* RowsWith(RelationId relation, uint32_t col,
-                                        const Value& v) const;
+                                        const Value& v) const {
+    return stores_[relation].postings[col].Find(ValueCode(v));
+  }
 
   /// First-column shorthand for RowsWith(relation, 0, v). Arity-0-safe:
   /// never returns entries for empty tuples.
@@ -103,9 +119,9 @@ class Instance {
   }
 
   /// Number of distinct values in one column — maintained incrementally
-  /// (it is the posting-map size), O(1).
+  /// (it is the posting index's size), O(1).
   uint32_t ColumnDistinct(RelationId relation, uint32_t col) const {
-    return static_cast<uint32_t>(stores_[relation].postings[col].size());
+    return static_cast<uint32_t>(stores_[relation].postings[col].codes.size());
   }
 
   /// Total number of facts across all relations.
@@ -184,6 +200,32 @@ class Instance {
   }
 
  private:
+  /// Distinct values a column holds before its posting index grows a
+  /// hash table; up to this many, lookups scan `codes`.
+  static constexpr size_t kDensePostings = 8;
+
+  /// One column's posting index (layout in the class comment).
+  struct PostingIndex {
+    /// Distinct value codes, first-appearance order.
+    std::vector<uint64_t> codes;
+    /// lists[i]: ascending row ids whose cell has code codes[i].
+    std::vector<std::vector<uint32_t>> lists;
+    /// Open-addressed slots holding indexes into `codes` (kEmptySlot
+    /// free); empty while the column has at most kDensePostings values.
+    std::vector<uint32_t> table;
+
+    /// The row list of `code`, or nullptr when no row carries it.
+    const std::vector<uint32_t>* Find(uint64_t code) const;
+    /// Appends `row` to `code`'s list, creating the list on first sight.
+    void Add(uint64_t code, uint32_t row);
+
+   private:
+    /// Index of `code` in `codes`, or kNoEntry.
+    uint32_t IndexOf(uint64_t code) const;
+    /// Rebuilds `table` at `capacity` slots from `codes`.
+    void Rehash(size_t capacity);
+  };
+
   /// One relation's column-major rows plus its incremental indexes.
   struct ColumnStore {
     explicit ColumnStore(uint32_t arity)
@@ -192,10 +234,9 @@ class Instance {
     uint32_t num_rows = 0;
     /// Column-major cells: columns[c][row]. All columns share row ids.
     std::vector<std::vector<Value>> columns;
-    /// Per-column posting lists: value -> ascending row ids carrying it.
-    /// The map size doubles as the column's incremental distinct count.
-    std::vector<std::unordered_map<Value, std::vector<uint32_t>, ValueHash>>
-        postings;
+    /// Per-column posting indexes: value -> ascending row ids carrying
+    /// it. Their sizes are the columns' incremental distinct counts.
+    std::vector<PostingIndex> postings;
     /// Open-addressed full-tuple slot table (qmap-style flat layout):
     /// power-of-two capacity, linear probing, slots hold row ids with
     /// kEmptySlot marking free slots. `hashes[row]` caches the row's
@@ -213,9 +254,11 @@ class Instance {
     /// Cell-by-cell comparison of stored row `row` against `tuple`.
     bool RowEquals(uint32_t row, const Tuple& tuple) const;
 
-    static constexpr uint32_t kEmptySlot = 0xFFFFFFFFu;
     static constexpr uint32_t kNoRow = 0xFFFFFFFFu;
   };
+
+  static constexpr uint32_t kEmptySlot = 0xFFFFFFFFu;
+  static constexpr uint32_t kNoEntry = 0xFFFFFFFFu;
 
   bool EqualFactSets(const Instance& other) const;
   bool LessFactSets(const Instance& other) const;

@@ -5,7 +5,9 @@
 #include <string>
 #include <vector>
 
+#include "chase/chase.h"
 #include "chase/match_plan.h"
+#include "dependency/parser.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "relational/atom.h"
@@ -245,6 +247,33 @@ TEST(MatchPlanTest, StatsFreePlansHitTheFrontCache) {
   }
   EXPECT_EQ(Counter("chase.plan.compiles"), 1u);
   EXPECT_EQ(Counter("chase.plan.cache_hits"), 5u);
+}
+
+// The s-t chase bypasses the cache: each run compiles every tgd's lhs
+// plan once and, at its first satisfaction test, its rhs plan once —
+// whatever the thread count — and records no cache hits.
+TEST(MatchPlanTest, ChaseCompilesEachTgdAtMostTwicePerRun) {
+  // Two firing shards ({T, U} and {V}), so 4 threads fire sharded.
+  SchemaMapping m = MustParseMapping(
+      "P/2, S/1", "T/2, U/3, V/3",
+      "P(x,y) & S(y) -> exists z: T(z,y) & U(z,y,y); "
+      "P(x,y) -> T(x,y); P(x,y) & P(y,x) -> V(x,y,x)");
+  Instance src = MustParseInstance(
+      m.source, "P(a,b), P(b,a), P(c,b), P(d,e), S(b), S(e)");
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(threads);
+    ChaseOptions options;
+    options.num_threads = threads;
+    obs::ResetMetrics();
+    Instance first = MustChase(src, m, options);
+    EXPECT_EQ(Counter("chase.plan.compiles"), 2 * m.tgds.size());
+    EXPECT_EQ(Counter("chase.plan.cache_hits"), 0u);
+    EXPECT_EQ(Counter("chase.parallel.shard_batches"), threads > 1 ? 1u : 0u);
+    // A second run of the same chase compiles afresh: no cross-run reuse.
+    Instance second = MustChase(src, m, options);
+    EXPECT_EQ(Counter("chase.plan.compiles"), 4 * m.tgds.size());
+    EXPECT_EQ(first, second);
+  }
 }
 
 TEST(MatchPlanTest, StatsDigestTracksLiteralPostingsAndRowCounts) {

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "chase/chase.h"
+#include "chase/trigger_finder.h"
 #include "obs/journal.h"
 #include "relational/instance.h"
 #include "workload/scenario_gen.h"
@@ -27,6 +28,10 @@
 // (canonical rendering), null labels, the incremental fingerprint, and
 // the provenance journal must all be byte-identical — at every thread
 // count for the compiled path.
+//
+// One layer down, the chase fires from trigger rows: each tgd's sorted
+// rows (FindTriggerRows, under each matcher mode) must decode to exactly
+// the full-scan FindTriggers' sorted Assignment list.
 
 namespace qimap {
 namespace {
@@ -99,8 +104,35 @@ class StoreDifferentialTest : public ::testing::Test {
   }
 };
 
+// Every tgd's sorted trigger rows decode, row for row, to the sorted
+// Assignments the naive matcher finds.
+void ExpectTriggerRowsDecode(const Scenario& scenario) {
+  HomSearchOptions naive;
+  naive.use_index = false;
+  for (MatcherMode mode : {MatcherMode::kCompiledPlan,
+                           MatcherMode::kInterpretiveIndexed,
+                           MatcherMode::kFullScan}) {
+    HomSearchOptions options;
+    options.use_index = mode != MatcherMode::kFullScan;
+    options.use_compiled_plan = mode == MatcherMode::kCompiledPlan;
+    for (size_t d = 0; d < scenario.mapping.tgds.size(); ++d) {
+      const Conjunction& body = scenario.mapping.tgds[d].lhs;
+      const std::vector<Value> slots = TriggerSlots(body, options);
+      const TriggerRows rows =
+          FindTriggerRows(body, slots, scenario.source, options);
+      std::vector<Assignment> decoded;
+      for (size_t i = 0; i < rows.size(); ++i) {
+        decoded.push_back(DecodeTriggerRow(slots, rows.row(i)));
+      }
+      EXPECT_EQ(decoded, FindTriggers(body, scenario.source, naive))
+          << "tgd " << d << ", matcher mode " << static_cast<int>(mode);
+    }
+  }
+}
+
 void RunCase(const ScenarioConfig& config, uint64_t seed) {
   Scenario scenario = GenerateScenario(config, seed, /*num_facts=*/14);
+  ExpectTriggerRowsDecode(scenario);
   ChaseOutput plan = RunOnce(scenario, MatcherMode::kCompiledPlan);
   ChaseOutput interp = RunOnce(scenario, MatcherMode::kInterpretiveIndexed);
   ChaseOutput naive = RunOnce(scenario, MatcherMode::kFullScan);
@@ -146,7 +178,7 @@ TEST_F(StoreDifferentialTest, IndexedMatchesFullScanAcross216Scenarios) {
 }
 
 // Wider shapes stress the posting lists harder: more relations, higher
-// arity (more columns per posting map), denser variable sharing (more
+// arity (more columns per posting index), denser variable sharing (more
 // bound columns per probe).
 TEST_F(StoreDifferentialTest, WideShapesAgreeToo) {
   ScenarioConfig config;

@@ -823,10 +823,14 @@ int Main(int argc, char** argv) {
     obs::Log(obs::LogLevel::kDebug, "qimap %s, command '%s'",
              VersionString(), args.command.c_str());
   }
+  // Tracing starts before any work, so the case load below is timed.
+  const char* trace_out = args.Get("trace-out");
+  if (trace_out != nullptr) obs::Trace::Enable();
   // --case: load a qimap_gen corpus file before anything needs the
   // mapping; LoadMapping and the chasing commands then read g_case.
   const char* case_path = args.Get("case");
   if (case_path != nullptr) {
+    QIMAP_TRACE_SPAN("cli/load");
     std::string case_text;
     if (!ReadWholeFile(case_path, &case_text)) {
       std::fprintf(stderr, "qimap_cli: cannot read case file '%s'\n",
@@ -906,14 +910,12 @@ int Main(int argc, char** argv) {
   if (ledger_on) obs::Ledger::Enable();
   auto run_start = std::chrono::steady_clock::now();
 
-  const char* trace_out = args.Get("trace-out");
   const char* metrics_out = args.Get("metrics-out");
   const char* journal_out = args.Get("journal-out");
   const char* profile_out = args.Get("profile-out");
   if (args.Has("profile") || profile_out != nullptr) {
     obs::Profiler::Enable();
   }
-  if (trace_out != nullptr) obs::Trace::Enable();
   if (journal_out != nullptr) {
     // Spill-to-JSONL: a full ring flushes to the file mid-run; the final
     // Flush() below appends whatever is still buffered.

@@ -6,6 +6,8 @@
 //
 // Exit 0 iff every named file passes its check:
 //   --trace    well-formed Chrome trace-event JSON with >= 1 event
+//   --trace-span F NAME  like --trace, and some event is named NAME —
+//              proves the run recorded that span (e.g. cli/load)
 //   --metrics  metrics snapshot with nonzero chase.* and hom.* counters
 //   --journal  provenance JSONL: monotone event ids, known kinds, every
 //              parent/null reference resolves to an earlier event
@@ -77,7 +79,8 @@ bool Fail(const char* file, const std::string& why) {
   return false;
 }
 
-bool CheckTrace(const char* path) {
+// `span`, when non-null, must name at least one event.
+bool CheckTrace(const char* path, const char* span = nullptr) {
   Result<obs::JsonValue> doc = obs::ParseJsonFile(path);
   if (!doc.ok()) return Fail(path, doc.status().ToString());
   if (!doc->IsObject()) return Fail(path, "top level is not an object");
@@ -105,6 +108,10 @@ bool CheckTrace(const char* path) {
     if (ts == nullptr || !ts->IsNumber()) {
       return Fail(path, "trace event lacks a numeric 'ts'");
     }
+    if (span != nullptr && name->string_value == span) span = nullptr;
+  }
+  if (span != nullptr) {
+    return Fail(path, std::string("no trace event named '") + span + "'");
   }
   return true;
 }
@@ -969,7 +976,7 @@ int Usage() {
                "                       [--containment FILE] [--profile "
                "FILE] [--progress FILE] [--ledger FILE]\n"
                "                       [--plan FILE] "
-               "[--compare FILE_A FILE_B]\n"
+               "[--compare FILE_A FILE_B] [--trace-span FILE NAME]\n"
                "       telemetry_check <trace.json> <metrics.json>\n");
   return 2;
 }
@@ -993,6 +1000,7 @@ int Main(int argc, char** argv) {
       spec.multi_value_flags[name] = 1;
     }
     spec.multi_value_flags["compare"] = 2;
+    spec.multi_value_flags["trace-span"] = 2;
     tools::ParsedArgs args;
     std::string error;
     if (!tools::ParseArgs(argc, argv, 1, spec, &args, &error)) {
@@ -1003,6 +1011,8 @@ int Main(int argc, char** argv) {
       const char* file = occ.values[0].c_str();
       if (occ.flag == "trace") {
         ok = CheckTrace(file) && ok;
+      } else if (occ.flag == "trace-span") {
+        ok = CheckTrace(file, occ.values[1].c_str()) && ok;
       } else if (occ.flag == "metrics") {
         ok = CheckMetrics(file) && ok;
       } else if (occ.flag == "journal") {
