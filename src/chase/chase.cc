@@ -10,7 +10,6 @@
 #include "base/thread_pool.h"
 #include "chase/chase_checkpoint.h"
 #include "chase/match_plan.h"
-#include "chase/shard_plan.h"
 #include "chase/trigger_finder.h"
 #include "obs/budget_obs.h"
 #include "obs/journal.h"
@@ -105,31 +104,13 @@ bool TouchesRhs(const Tgd& tgd, const std::vector<bool>& touched) {
   return false;
 }
 
-// True iff the two schemas name the same relation-id space, so a
-// dependency body's relation ids refer to relations the chase writes
-// (e.g. the implication oracle chasing canonical instances under one
-// schema, where a transitivity tgd both reads and writes E). For a
-// genuine s-t mapping the numeric ids merely alias two distinct schemas
-// and bodies never see target facts. Schema has no operator==; compare
-// by identity first, then structurally by (name, arity) per id.
-bool SchemasAlias(const SchemaPtr& a, const SchemaPtr& b) {
-  if (a == b) return true;
-  if (a == nullptr || b == nullptr || a->size() != b->size()) return false;
-  for (RelationId r = 0; r < a->size(); ++r) {
-    const RelationSymbol& ra = a->relation(r);
-    const RelationSymbol& rb = b->relation(r);
-    if (ra.name != rb.name || ra.arity != rb.arity) return false;
-  }
-  return true;
-}
-
 // One dependency's standard-chase satisfaction test within one run. On
 // the indexed compiled path the rhs is compiled with CompileMatchPlan at
-// the dependency's first test of the run, against the instance the
-// tests read, with the trigger slots as the bound key set; every test
-// then preloads the frontier registers straight from the trigger row
-// and runs the plan. Otherwise each test decodes the row and runs the
-// interpretive or full-scan matcher (the oracles).
+// the dependency's first test of the run, against the target as the
+// fire loop has built it so far, with the trigger slots as the bound
+// key set; every test then preloads the frontier registers straight
+// from the trigger row and runs the plan. Otherwise each test decodes
+// the row and runs the interpretive or full-scan matcher (the oracles).
 class SatisfactionCheck {
  public:
   SatisfactionCheck(const Tgd& tgd, const std::vector<Value>& slots,
@@ -232,8 +213,8 @@ Status FireProgram::Fire(const Value* row, Instance* target,
                          FireObserver* observer, FireCounts* counts) const {
   FireCounts local_counts;
   FireCounts& fc = counts != nullptr ? *counts : local_counts;
-  // Per-thread buffers: the sharded pass fires one shared program from
-  // several threads.
+  // Thread-local scratch keeps Fire const and allocation-free across
+  // calls; chases running on different threads never share it.
   thread_local std::vector<Value> nulls;
   thread_local Tuple tuple;
   nulls.clear();
@@ -494,102 +475,14 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
     st.facts_added = ckpt->totals.facts_added;
   }
 
-  // Phase 1.5 — hash-sharded parallel firing. The satisfaction searches
-  // are the expensive part of the fire loop, and they have bounded reach:
-  // a dependency's rhs search reads exactly the relations its rhs atoms
-  // name, and those relations are written only by dependencies of the
-  // same shard (connected components of the shared-rhs-relation graph).
-  // So each shard replays its own deps' triggers — in the same relative
-  // order the serial loop would — into a *private* instance on a pool
-  // thread, minting provisional null labels from a shard-local arena that
-  // starts at `null_base`. The shard instance is isomorphic to the serial
-  // target restricted to the shard's relations at every corresponding
-  // point (an injective provisional->final null relabeling that fixes the
-  // trigger's source-valued image), so each search visits the same
-  // candidate rows in the same order, returns the same outcome, and
-  // emits the same hom.* / chase.index.* counter deltas as the serial
-  // run. Phase 2 then consumes the precomputed outcomes instead of
-  // searching, and everything order-dependent — final null labels,
-  // journal events, fact insertion order, budget ticks, fingerprints —
-  // is produced serially exactly as before, byte-identical at every
-  // thread count. Only the chase.parallel.* counters (exempt from the
-  // telemetry compare) reveal that sharding engaged.
-  //
-  // Engagement is conservative: a plain full chase only (no resume, no
-  // checkpoint recording, no shared budget, no partial hand-back — those
-  // paths interleave outcome decisions with serial state), at least two
-  // pool threads and two shards, and a step valve the merged batch
-  // cannot trip (a mid-merge ResourceExhausted would make the pass-1
-  // search counters diverge from a serial run's truncated counters).
-  std::vector<std::vector<uint8_t>> shard_outcomes;
-  bool sharded = false;
   // hom.* / chase.index.* work of the compiled satisfaction searches,
   // mirrored into the registry once at the end of the run.
   PlanCounts search_counts;
-  if (overflow.ok() && !resume && !record &&
-      options.variant != ChaseVariant::kOblivious &&
-      options.budget == nullptr && options.partial_out == nullptr &&
-      pool.num_threads() >= 2) {
-    size_t total_triggers = 0;
-    for (const std::vector<MergedTrigger>& m : merged) {
-      total_triggers += m.size();
-    }
-    ShardPlan plan = PlanFiringShards(
-        tgds, target_inst.schema()->size(),
-        /*bodies_read_targets=*/SchemasAlias(source_inst.schema(),
-                                             target_inst.schema()));
-    if (plan.num_shards >= 2 &&
-        (options.max_steps == 0 || total_triggers <= options.max_steps)) {
-      sharded = true;
-      static const obs::MetricId kShardRuns =
-          obs::RegisterCounter("chase.parallel.shard_batches");
-      static const obs::MetricId kShards =
-          obs::RegisterCounter("chase.parallel.shards");
-      static const obs::MetricId kShardTriggers =
-          obs::RegisterCounter("chase.parallel.shard_triggers");
-      obs::CounterAdd(kShardRuns);
-      obs::CounterAdd(kShards, plan.num_shards);
-      obs::CounterAdd(kShardTriggers, total_triggers);
-      shard_outcomes.resize(tgds.size());
-      for (size_t d = 0; d < tgds.size(); ++d) {
-        shard_outcomes[d].resize(merged[d].size());
-      }
-      std::vector<PlanCounts> shard_counts(plan.num_shards);
-      pool.ParallelFor(plan.num_shards, [&](size_t s) {
-        Instance shard_inst(target_inst.schema());
-        uint32_t shard_null = null_base;
-        for (uint32_t d : plan.shard_deps[s]) {
-          const uint32_t prof_dep =
-              profiled ? prof_deps[d] : obs::kProfileNoDep;
-          obs::ProfiledDepScope prof_scope(prof_dep,
-                                           obs::ProfilePhase::kFire);
-          // A dependency belongs to one shard, so its rhs plan is still
-          // compiled once per run, and against the same statistics the
-          // serial target would show at its first test (see above).
-          SatisfactionCheck check(tgds[d], slots[d], shard_inst,
-                                  search_options);
-          for (size_t t = 0; t < merged[d].size(); ++t) {
-            const Value* row = merged[d][t].row;
-            bool fire = !check.Satisfied(row, &shard_counts[s]);
-            shard_outcomes[d][t] = fire ? 1 : 0;
-            if (!fire) continue;
-            Status status =
-                fire_programs[d].Fire(row, &shard_inst, &shard_null);
-            (void)status;  // ungoverned, target schema: cannot fail
-          }
-        }
-      });
-      for (const PlanCounts& counts : shard_counts) {
-        search_counts.Add(counts);
-      }
-    }
-  }
 
   // Phase 2 — fire serially in (dependency, canonical match) order. The
   // satisfaction check reads the growing target instance, and fresh-null
   // labels and journal records depend on firing order, so this phase
-  // stays single-threaded by design; after a sharded pass 1 it consumes
-  // the precomputed outcomes and does no searching at all.
+  // stays single-threaded by design.
   //
   // Replay discipline (slow resume): a recorded SKIP stays a skip — the
   // target only gains facts relative to the recorded run (up to an
@@ -625,9 +518,7 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
         profiled ? prof_deps[dep_index] : obs::kProfileNoDep;
     obs::ProfiledDepScope prof_scope(prof_dep, obs::ProfilePhase::kFire);
     SatisfactionCheck check(tgd, dep_slots, target_inst, search_options);
-    for (size_t trig_index = 0; trig_index < merged[dep_index].size();
-         ++trig_index) {
-      const MergedTrigger& mt = merged[dep_index][trig_index];
+    for (const MergedTrigger& mt : merged[dep_index]) {
       const Value* row = mt.row;
       Status tick = guard.Tick();
       if (!tick.ok()) {
@@ -649,11 +540,7 @@ Result<Instance> ChaseWithTgds(const Instance& source_inst,
       // their recorded outcome when the replay discipline allows.
       bool fire = true;
       if (options.variant != ChaseVariant::kOblivious) {
-        if (sharded) {
-          // Pass 1 already ran this trigger's satisfaction search on its
-          // shard's private instance; replay the outcome.
-          fire = shard_outcomes[dep_index][trig_index] != 0;
-        } else if (mt.prov == Provenance::kOldSkipped && !diverged) {
+        if (mt.prov == Provenance::kOldSkipped && !diverged) {
           fire = false;
           ++st.checks_skipped;
         } else if (mt.prov == Provenance::kOldFired && !diverged &&

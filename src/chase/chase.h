@@ -59,16 +59,14 @@ struct ChaseOptions {
   /// either way. Ignored (always interpretive) when `use_index` is
   /// false.
   bool use_compiled_plan = true;
-  /// Worker threads for the chase's two parallel phases: trigger
-  /// collection (per-dependency fan-out) and, on plain full runs, sharded
-  /// firing — dependencies grouped by shared rhs relations fire into
-  /// per-shard private instances with shard-local provisional null
-  /// arenas, and a serial merge replays the canonical order (see
-  /// chase/shard_plan.h). 1 (default) runs fully inline, exactly as
-  /// before the pool existed; 0 reads the `QIMAP_CHASE_THREADS`
-  /// environment variable (defaulting to 1). Output — facts, null
-  /// labels, journal events, fingerprints, and every non-chase.parallel.*
-  /// counter — is byte-identical at every thread count.
+  /// Worker threads for trigger collection: the per-dependency lhs
+  /// searches fan out over a pool, and each batch is sorted canonically
+  /// before the single serial fire loop runs. 1 (default) runs fully
+  /// inline, exactly as before the pool existed; 0 reads the
+  /// `QIMAP_CHASE_THREADS` environment variable (defaulting to 1).
+  /// Output — facts, null labels, journal events, fingerprints, and
+  /// every non-chase.parallel.* counter — is byte-identical at every
+  /// thread count.
   size_t num_threads = 1;
   /// Shared resource governor (base/budget.h) consulted in addition to
   /// `max_steps`: wall-clock deadline, approximate memory, generated-null
@@ -176,8 +174,8 @@ struct FireCounts {
 };
 
 /// The firing half of one chase step — the single firing path of the s-t
-/// chase's serial and sharded fire loops, MinGen's delta firings and the
-/// target-tgd fixpoint. A tgd's rhs is compiled once against a trigger
+/// chase's fire loop, MinGen's delta firings and the target-tgd
+/// fixpoint. A tgd's rhs is compiled once against a trigger
 /// row layout (`slots`, see TriggerSlots in chase/trigger_finder.h):
 /// every rhs argument becomes a row slot (a frontier value), an
 /// existential (`tgd.ExistentialVariables()` order) or a literal.

@@ -440,17 +440,6 @@ void ClearMatchPlanCache() {
   g_cache_version.fetch_add(1, std::memory_order_acq_rel);
 }
 
-void PlanCounts::Add(const PlanCounts& other) {
-  searches += other.searches;
-  matches += other.matches;
-  backtracks += other.backtracks;
-  index_lookups += other.index_lookups;
-  index_hits += other.index_hits;
-  index_rows += other.index_rows;
-  scan_rows += other.scan_rows;
-  point_lookups += other.point_lookups;
-}
-
 void FlushPlanCounts(const PlanCounts& counts) {
   static const obs::MetricId kSearches =
       obs::RegisterCounter("hom.searches");

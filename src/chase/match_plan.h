@@ -38,11 +38,6 @@ namespace qimap {
 /// key executes the same plan regardless of which thread compiled it
 /// first — `hom.*`, `chase.index.*`, and `chase.plan.*` counters stay
 /// byte-identical at every thread count, like the rest of the engine.
-/// The sharded firing phase relies on a corollary: the statistics of a
-/// dependency's rhs relations are identical between the serial target and
-/// a shard's private instance at corresponding trigger points (provisional
-/// null relabeling is injective, so rows / distinct counts / constant
-/// posting lengths all agree), so compile and cache-hit counts agree too.
 ///
 /// The compiler's greedy ordering deliberately replicates the interpretive
 /// `OrderAtoms` heuristic (fewest unbound arguments, then smallest
@@ -193,8 +188,6 @@ struct PlanCounts {
   uint64_t index_rows = 0;
   uint64_t scan_rows = 0;
   uint64_t point_lookups = 0;
-
-  void Add(const PlanCounts& other);
 };
 
 /// Adds `counts` to the hom.* / chase.index.* registry counters.

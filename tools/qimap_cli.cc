@@ -63,8 +63,8 @@
 #include "arg_parse.h"
 
 // Like QIMAP_ASSIGN_OR_RETURN but reports to stderr and returns exit code
-// 1 (CLI handlers return int).
-#define QIMAP_ASSIGN_OR_RETURN_CLI(lhs, expr)                         \
+// `code` (CLI handlers return int).
+#define QIMAP_ASSIGN_OR_EXIT_CLI(code, lhs, expr)                     \
   auto QIMAP_STATUS_CONCAT(_cli_res, __LINE__) = (expr);              \
   if (!QIMAP_STATUS_CONCAT(_cli_res, __LINE__).ok()) {                \
     std::fprintf(stderr, "%s\n",                                      \
@@ -72,9 +72,17 @@
                      .status()                                        \
                      .ToString()                                      \
                      .c_str());                                       \
-    return 1;                                                         \
+    return code;                                                      \
   }                                                                   \
   lhs = std::move(QIMAP_STATUS_CONCAT(_cli_res, __LINE__)).value()
+
+// A failed run: exit 1, like a budget trip or a negative verdict.
+#define QIMAP_ASSIGN_OR_RETURN_CLI(lhs, expr) \
+  QIMAP_ASSIGN_OR_EXIT_CLI(1, lhs, expr)
+// Malformed user input (an --instance, --delta, --reverse or
+// --contained-in text): exit 2, like an unknown flag or a malformed --tgds.
+#define QIMAP_PARSE_OR_RETURN_CLI(lhs, expr) \
+  QIMAP_ASSIGN_OR_EXIT_CLI(2, lhs, expr)
 
 namespace qimap {
 namespace {
@@ -134,7 +142,7 @@ const tools::ArgSpec& CliSpec() {
         "case",          "contained-in", "plan-out"};
     spec.bool_flags = {"verbose", "version", "help",     "incremental",
                        "solution-cache", "profile", "progress", "quiet",
-                       "plan",    "no-plan"};
+                       "plan"};
     return spec;
   }();
   return kSpec;
@@ -222,11 +230,12 @@ int Usage() {
       "           analyze --plan-out FILE  write the plans as JSON "
       "(validated by\n"
       "             telemetry_check --plan)\n"
-      "           --no-plan           run the interpretive matcher "
-      "instead of\n"
-      "             compiled match plans (the plan layer's differential "
-      "oracle)\n"
       "other:     --version           print the library version\n"
+      "exit:      0 ok, 1 negative verdict or failed run (incl. budget "
+      "exhaustion),\n"
+      "           2 bad input (unknown flag, unreadable or malformed "
+      "--case/--tgds/\n"
+      "             --instance/--delta/--reverse/--contained-in)\n"
       "Flags accept both --key value and --key=value.\n");
   return 2;
 }
@@ -238,7 +247,6 @@ ChaseOptions LoadChaseOptions(const Args& args) {
   options.num_threads =
       static_cast<size_t>(std::atoi(args.Get("threads", "1")));
   options.budget = g_budget;
-  options.use_compiled_plan = !args.Has("no-plan");
   return options;
 }
 
@@ -305,7 +313,7 @@ int RunChase(const Args& args, const SchemaMapping& m) {
   }
   Instance i(m.source);
   if (text != nullptr) {
-    QIMAP_ASSIGN_OR_RETURN_CLI(i, ParseInstance(m.source, text));
+    QIMAP_PARSE_OR_RETURN_CLI(i, ParseInstance(m.source, text));
   } else {
     i = g_case->source;
   }
@@ -322,8 +330,8 @@ int RunChase(const Args& args, const SchemaMapping& m) {
       std::fprintf(stderr, "chase --incremental requires --delta\n");
       return 2;
     }
-    QIMAP_ASSIGN_OR_RETURN_CLI(Instance delta,
-                               ParseInstance(m.source, delta_text));
+    QIMAP_PARSE_OR_RETURN_CLI(Instance delta,
+                              ParseInstance(m.source, delta_text));
     ChaseCheckpoint checkpoint;
     options.incremental = &checkpoint;
     Result<Instance> recorded = Chase(i, m, options);
@@ -400,8 +408,8 @@ int RunVerify(const Args& args, const SchemaMapping& m) {
     std::fprintf(stderr, "verify requires --reverse\n");
     return 2;
   }
-  QIMAP_ASSIGN_OR_RETURN_CLI(ReverseMapping rev,
-                             ParseReverseMapping(m, reverse_text));
+  QIMAP_PARSE_OR_RETURN_CLI(ReverseMapping rev,
+                            ParseReverseMapping(m, reverse_text));
   EquivKind kind = std::strcmp(args.Get("mode", "quasi"), "inverse") == 0
                        ? EquivKind::kEquality
                        : EquivKind::kSimM;
@@ -431,10 +439,10 @@ int RunRoundTrip(const Args& args, const SchemaMapping& m) {
     std::fprintf(stderr, "roundtrip requires --reverse and --instance\n");
     return 2;
   }
-  QIMAP_ASSIGN_OR_RETURN_CLI(ReverseMapping rev,
-                             ParseReverseMapping(m, reverse_text));
-  QIMAP_ASSIGN_OR_RETURN_CLI(Instance i,
-                             ParseInstance(m.source, instance_text));
+  QIMAP_PARSE_OR_RETURN_CLI(ReverseMapping rev,
+                            ParseReverseMapping(m, reverse_text));
+  QIMAP_PARSE_OR_RETURN_CLI(Instance i,
+                            ParseInstance(m.source, instance_text));
   QIMAP_ASSIGN_OR_RETURN_CLI(RoundTrip trip, CheckRoundTrip(m, rev, i));
   std::printf("U  = %s\n", trip.universal.ToString().c_str());
   for (size_t k = 0; k < trip.recovered.size(); ++k) {
@@ -459,7 +467,7 @@ int RunExplain(const Args& args, const SchemaMapping& m) {
     std::fprintf(stderr, "explain: --format must be 'tree' or 'json'\n");
     return 2;
   }
-  QIMAP_ASSIGN_OR_RETURN_CLI(Instance i, ParseInstance(m.source, text));
+  QIMAP_PARSE_OR_RETURN_CLI(Instance i, ParseInstance(m.source, text));
   obs::Journal::Enable();
   QIMAP_ASSIGN_OR_RETURN_CLI(Instance u, Chase(i, m, LoadChaseOptions(args)));
   std::vector<obs::JournalEvent> events = obs::Journal::Events();
@@ -531,7 +539,7 @@ int RunAnalyze(const Args& args, const SchemaMapping& m) {
   // the mapping's real workload, and summarize the chased instance's
   // cardinalities/selectivities as the planner handoff.
   if (obs::Profiler::Enabled() && args.Get("instance") != nullptr) {
-    QIMAP_ASSIGN_OR_RETURN_CLI(
+    QIMAP_PARSE_OR_RETURN_CLI(
         Instance i, ParseInstance(m.source, args.Get("instance")));
     QIMAP_ASSIGN_OR_RETURN_CLI(Instance u,
                                Chase(i, m, LoadChaseOptions(args)));
@@ -544,7 +552,7 @@ int RunAnalyze(const Args& args, const SchemaMapping& m) {
   if (args.Has("plan") || args.Get("plan-out") != nullptr) {
     Instance stats_source(m.source);
     if (args.Get("instance") != nullptr) {
-      QIMAP_ASSIGN_OR_RETURN_CLI(
+      QIMAP_PARSE_OR_RETURN_CLI(
           stats_source, ParseInstance(m.source, args.Get("instance")));
     }
     auto escape = [](const std::string& s) {
@@ -590,7 +598,7 @@ int RunContains(const Args& args, const SchemaMapping& m) {
   SchemaMapping super;
   super.source = m.source;
   super.target = m.target;
-  QIMAP_ASSIGN_OR_RETURN_CLI(
+  QIMAP_PARSE_OR_RETURN_CLI(
       super.tgds, ParseTgds(*m.source, *m.target, super_text));
   ContainmentOptions options;
   options.budget = g_budget;
@@ -835,13 +843,13 @@ int Main(int argc, char** argv) {
     if (!ReadWholeFile(case_path, &case_text)) {
       std::fprintf(stderr, "qimap_cli: cannot read case file '%s'\n",
                    case_path);
-      return 1;
+      return 2;
     }
     Result<Scenario> parsed = ParseCorpusCase(case_text);
     if (!parsed.ok()) {
       std::fprintf(stderr, "qimap_cli: %s: %s\n", case_path,
                    parsed.status().ToString().c_str());
-      return 1;
+      return 2;
     }
     g_case = std::move(parsed).value();
   }

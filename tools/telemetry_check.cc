@@ -18,10 +18,6 @@
 //              counters sit under "metrics") with a nonzero
 //              chase.parallel.* counter — proves the thread pool fanned
 //              out
-//   --sharded  like --parallel, but specifically requires nonzero
-//              chase.parallel.shard_batches and .shard_triggers — proves
-//              the run fired triggers through the sharded parallel
-//              firing path, not just parallel trigger collection
 //   --compare  two such files whose counters must be identical except
 //              for the chase.parallel.* family — the multi-threaded
 //              chase must do exactly the same work as the serial one,
@@ -190,33 +186,6 @@ bool CheckParallel(const char* path) {
                 "fanned out across threads");
   }
   return true;
-}
-
-// Sharded firing keeps its own counters (chase.parallel.shard_*) apart
-// from the trigger-collection fan-out, so a run that only parallelized
-// collection does not pass for one that fired shards on the pool.
-bool CheckSharded(const char* path) {
-  Result<obs::JsonValue> doc = obs::ParseJsonFile(path);
-  if (!doc.ok()) return Fail(path, doc.status().ToString());
-  const obs::JsonValue* counters = FindCounters(*doc);
-  if (counters == nullptr) {
-    return Fail(path, "no 'counters' object (top level or under 'metrics')");
-  }
-  bool ok = true;
-  for (const char* name :
-       {"chase.parallel.shard_batches", "chase.parallel.shard_triggers"}) {
-    const obs::JsonValue* counter = counters->Find(name);
-    if (counter == nullptr || !counter->IsNumber() ||
-        counter->number_value <= 0) {
-      char why[160];
-      std::snprintf(why, sizeof(why),
-                    "counter '%s' missing or zero — the run never fired "
-                    "triggers through the sharded path",
-                    name);
-      ok = Fail(path, why) && ok;
-    }
-  }
-  return ok;
 }
 
 bool IsParallelCounter(const std::string& key) {
@@ -970,7 +939,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: telemetry_check [--trace FILE] [--metrics FILE] "
                "[--journal FILE] [--explain FILE]\n"
-               "                       [--parallel FILE] [--sharded FILE] "
+               "                       [--parallel FILE] "
                "[--budget FILE] "
                "[--incremental FILE] [--solcache FILE]\n"
                "                       [--containment FILE] [--profile "
@@ -994,9 +963,9 @@ int Main(int argc, char** argv) {
     // order; --compare consumes two operands (tools/arg_parse.h).
     tools::ArgSpec spec;
     for (const char* name :
-         {"trace", "metrics", "journal", "explain", "parallel", "sharded",
-          "budget", "incremental", "solcache", "containment", "profile",
-          "progress", "ledger", "plan"}) {
+         {"trace", "metrics", "journal", "explain", "parallel", "budget",
+          "incremental", "solcache", "containment", "profile", "progress",
+          "ledger", "plan"}) {
       spec.multi_value_flags[name] = 1;
     }
     spec.multi_value_flags["compare"] = 2;
@@ -1021,8 +990,6 @@ int Main(int argc, char** argv) {
         ok = CheckExplain(file) && ok;
       } else if (occ.flag == "parallel") {
         ok = CheckParallel(file) && ok;
-      } else if (occ.flag == "sharded") {
-        ok = CheckSharded(file) && ok;
       } else if (occ.flag == "budget") {
         ok = CheckBudget(file) && ok;
       } else if (occ.flag == "incremental") {
