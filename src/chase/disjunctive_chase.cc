@@ -44,41 +44,61 @@ void FlushDisjunctiveChaseMetrics(const DisjunctiveChaseStats& st) {
   obs::CounterAdd(kNulls, st.nulls_minted);
 }
 
-// One applicable chase step: a dependency together with the lhs match.
+// One applicable chase step: a dependency together with the lhs match
+// (`match_index` indexes the dependency's canonically sorted match list).
 struct ApplicableStep {
   const DisjunctiveTgd* dep = nullptr;
   size_t dep_index = 0;
+  size_t match_index = 0;
   Assignment match;
 };
 
-// Finds the first (dependency, homomorphism) pair that is applicable to
-// `current` per Definition 6.3: the lhs matches the (fixed) target
-// instance with the side conditions satisfied, and no disjunct extends the
-// match into `current`. Dependency bodies read only the fixed target
-// instance, so the per-dependency match lists are computed once per run
-// (`dep_matches`, canonically sorted) and every node only pays for the
-// satisfaction checks against its own source instance. Deterministic:
-// dependencies in order, matches in canonical order.
+// One node of the chase tree awaiting examination: its source instance
+// and the (dependency, match) pair its applicable-step search resumes at.
+// Every pair before the cursor is satisfied in the node: it was satisfied
+// in the parent, satisfaction only grows along a branch (a child is a
+// superset of its parent), and the pair the parent fired is satisfied in
+// each child by the image of that child's own disjunct.
+struct TreeNode {
+  Instance instance;
+  size_t dep_cursor = 0;
+  size_t match_cursor = 0;
+};
+
+// Finds the first (dependency, homomorphism) pair at or after the node's
+// cursor that is applicable to the node per Definition 6.3: the lhs
+// matches the (fixed) target instance with the side conditions satisfied,
+// and no disjunct extends the match into the node's instance. Since every
+// pair before the cursor is satisfied (see TreeNode), this is the first
+// applicable pair from (0, 0), found with one satisfaction check per pair
+// along a whole branch instead of one per pair per node. Dependency
+// bodies read only the fixed target instance, so the per-dependency match
+// lists are computed once per run (`dep_matches`, canonically sorted).
+// Deterministic: dependencies in order, matches in canonical order.
 std::optional<ApplicableStep> FindApplicableStep(
     const std::vector<std::vector<Assignment>>& dep_matches,
-    const Instance& current, const ReverseMapping& m,
+    const TreeNode& node, const ReverseMapping& m,
     const HomSearchOptions& rhs_options,
     const std::vector<uint32_t>& prof_deps) {
-  for (size_t dep_index = 0; dep_index < m.deps.size(); ++dep_index) {
+  size_t first_match = node.match_cursor;
+  for (size_t dep_index = node.dep_cursor; dep_index < m.deps.size();
+       ++dep_index, first_match = 0) {
     const DisjunctiveTgd& dep = m.deps[dep_index];
+    const std::vector<Assignment>& matches = dep_matches[dep_index];
     // Satisfaction searches pool into this dependency's rhs totals.
     obs::ProfiledDepScope scope(prof_deps[dep_index],
                                 obs::ProfilePhase::kFire);
-    for (const Assignment& h : dep_matches[dep_index]) {
+    for (size_t k = first_match; k < matches.size(); ++k) {
+      const Assignment& h = matches[k];
       bool satisfied = false;
       for (const Conjunction& disjunct : dep.disjuncts) {
-        if (FindHomomorphism(disjunct, current, h, rhs_options)
+        if (FindHomomorphism(disjunct, node.instance, h, rhs_options)
                 .has_value()) {
           satisfied = true;
           break;
         }
       }
-      if (!satisfied) return ApplicableStep{&dep, dep_index, h};
+      if (!satisfied) return ApplicableStep{&dep, dep_index, k, h};
       obs::ProfileRecordSkip(prof_deps[dep_index]);
     }
   }
@@ -207,8 +227,8 @@ Result<std::vector<Instance>> DisjunctiveChase(
   // traversal byte for byte — leaves, null labels, and journal records
   // included. The parallel part touches only per-node state; all shared
   // mutation happens in the serial expansion below.
-  std::vector<Instance> wave;
-  wave.emplace_back(m.to);  // the root's source part is empty
+  std::vector<TreeNode> wave;
+  wave.push_back(TreeNode{Instance(m.to)});  // the root's source is empty
   ++st.nodes;
   while (!wave.empty()) {
     // Cooperative cancellation point between levels: a cancel (or
@@ -236,9 +256,9 @@ Result<std::vector<Instance>> DisjunctiveChase(
     }
     Status wave_check = guard.Check();
     if (!wave_check.ok()) return trip(std::move(wave_check));
-    std::vector<Instance> next_wave;
+    std::vector<TreeNode> next_wave;
     for (size_t node = 0; node < wave.size(); ++node) {
-      Instance current = std::move(wave[node]);
+      Instance current = std::move(wave[node].instance);
       std::optional<ApplicableStep>& step = steps[node];
       if (!step.has_value()) {
         bool fresh =
@@ -289,14 +309,17 @@ Result<std::vector<Instance>> DisjunctiveChase(
       for (size_t i = 0; i < dep.disjuncts.size(); ++i) {
         // A branched child duplicates the parent's instance; charge the
         // approximate copy so the memory budget tracks tree growth, the
-        // dominant cost of a disjunctive blowup.
+        // dominant cost of a disjunctive blowup. The last child takes the
+        // parent's instance over instead of copying it, but is charged the
+        // same, so budget trips land where they always did.
         {
           Status charge = guard.ChargeMemory(
               (current.NumFacts() + 1) *
               ApproxFactBytes(2, sizeof(Value)));
           if (!charge.ok()) return trip(std::move(charge));
         }
-        Instance child = current;
+        const bool last = i + 1 == dep.disjuncts.size();
+        Instance child = last ? std::move(current) : current;
         uint64_t child_node = next_node++;
         std::vector<uint64_t> null_ids;
         size_t fresh_nulls = 0;
@@ -331,7 +354,8 @@ Result<std::vector<Instance>> DisjunctiveChase(
         }
         obs::ProfileRecordFire(prof_deps[step->dep_index], fresh_nulls,
                                dep.disjuncts[i].size());
-        next_wave.push_back(std::move(child));
+        next_wave.push_back(TreeNode{std::move(child), step->dep_index,
+                                     step->match_index + 1});
         ++st.nodes;
         ++st.branches;
       }

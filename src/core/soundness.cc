@@ -11,7 +11,12 @@ Result<RoundTrip> CheckRoundTrip(const SchemaMapping& m,
                                  const ReverseMapping& m_prime,
                                  const Instance& ground,
                                  const DisjunctiveChaseOptions& options) {
-  QIMAP_ASSIGN_OR_RETURN(Instance universal, CachedChase(ground, m));
+  // The budget governs the whole round trip: both forward chases as well
+  // as the disjunctive chase.
+  ChaseOptions forward;
+  forward.budget = options.budget;
+  QIMAP_ASSIGN_OR_RETURN(Instance universal,
+                         CachedChase(ground, m, forward));
   QIMAP_ASSIGN_OR_RETURN(std::vector<Instance> recovered,
                          DisjunctiveChase(universal, m_prime, options));
 
@@ -21,7 +26,7 @@ Result<RoundTrip> CheckRoundTrip(const SchemaMapping& m,
   for (size_t i = 0; i < trip.recovered.size(); ++i) {
     // Fresh nulls of the re-chase must not collide with the nulls already
     // present in V (which came from U and from the disjunctive chase).
-    ChaseOptions chase_options;
+    ChaseOptions chase_options = forward;
     chase_options.first_null_label =
         std::max(trip.recovered[i].MaxNullLabel(),
                  trip.universal.MaxNullLabel()) +

@@ -37,6 +37,8 @@ struct RoundTrip {
 /// `m` on it. Theorem 6.7 predicts `sound` for every quasi-inverse in the
 /// disjunctive-tgd language with inequalities among constants; Theorem 6.8
 /// predicts `faithful` for the output of algorithm QuasiInverse.
+/// `options.budget`, when set, also governs the two forward chases, so a
+/// budget trip anywhere in the round trip ends it with the budget's status.
 Result<RoundTrip> CheckRoundTrip(
     const SchemaMapping& m, const ReverseMapping& m_prime,
     const Instance& ground,

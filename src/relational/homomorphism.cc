@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <unordered_map>
 
 #include "chase/match_plan.h"
 #include "obs/metrics.h"
@@ -430,14 +431,56 @@ std::vector<Assignment> FindAllHomomorphisms(const Conjunction& body,
 
 bool ExistsInstanceHomomorphism(const Instance& from, const Instance& to,
                                 bool map_variables) {
-  Conjunction body;
-  for (const Fact& fact : from.Facts()) {
-    body.push_back(Atom{fact.relation, fact.tuple});
-  }
   HomSearchOptions options;
   options.map_nulls = true;
   options.map_variables = map_variables;
-  return FindHomomorphism(body, to, {}, options).has_value();
+  // A block's nulls are its own, so its body never recurs and a compiled
+  // plan could never be reused: blocks run on the interpretive matcher
+  // (still index-first), which skips the per-block compile and keeps
+  // one-off plans out of the process-wide plan cache.
+  options.use_compiled_plan = false;
+  // Fact blocks: facts connected through shared movable values. Blocks
+  // share no movable value, so a homomorphism exists iff each block maps
+  // on its own, and a fact without movable values maps iff `to` holds it.
+  // Searching block by block keeps each search (and its join ordering)
+  // as small as the block instead of the whole instance.
+  std::vector<Fact> facts = from.Facts();
+  std::vector<uint32_t> parent(facts.size());
+  auto find = [&parent](uint32_t f) {
+    while (parent[f] != f) f = parent[f] = parent[parent[f]];
+    return f;
+  };
+  std::unordered_map<Value, uint32_t, ValueHash> owner;
+  std::vector<bool> ground(facts.size(), true);
+  for (uint32_t f = 0; f < facts.size(); ++f) {
+    parent[f] = f;
+    for (const Value& v : facts[f].tuple) {
+      if (!IsMovable(v, options)) continue;
+      ground[f] = false;
+      auto [it, fresh] = owner.emplace(v, f);
+      if (!fresh) parent[find(f)] = find(it->second);
+    }
+    if (ground[f] && !to.ContainsFact(facts[f].relation, facts[f].tuple)) {
+      return false;
+    }
+  }
+  // Blocks in order of their first fact; atoms in `from.Facts()` order.
+  std::vector<size_t> block_of_root(facts.size(), SIZE_MAX);
+  std::vector<Conjunction> blocks;
+  for (uint32_t f = 0; f < facts.size(); ++f) {
+    if (ground[f]) continue;
+    size_t& block = block_of_root[find(f)];
+    if (block == SIZE_MAX) {
+      block = blocks.size();
+      blocks.emplace_back();
+    }
+    blocks[block].push_back(
+        Atom{facts[f].relation, std::move(facts[f].tuple)});
+  }
+  for (const Conjunction& block : blocks) {
+    if (!FindHomomorphism(block, to, {}, options).has_value()) return false;
+  }
+  return true;
 }
 
 bool HomomorphicallyEquivalent(const Instance& a, const Instance& b) {

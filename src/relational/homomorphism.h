@@ -98,6 +98,10 @@ std::vector<Assignment> FindAllHomomorphisms(const Conjunction& body,
 /// True iff there is a homomorphism from `from` to `to`: a map fixing
 /// constants (and, unless `map_variables`, variables) that sends every fact
 /// of `from` to a fact of `to`. This is the paper's instance homomorphism.
+/// Decided fact block by fact block: facts without movable values by one
+/// lookup each, and each group of facts connected through shared movable
+/// values by its own search, so the cost follows the largest block rather
+/// than the whole of `from`.
 bool ExistsInstanceHomomorphism(const Instance& from, const Instance& to,
                                 bool map_variables = true);
 

@@ -62,9 +62,9 @@
 #include "workload/scenario_gen.h"
 #include "arg_parse.h"
 
-// Like QIMAP_ASSIGN_OR_RETURN but reports to stderr and returns exit code
-// `code` (CLI handlers return int).
-#define QIMAP_ASSIGN_OR_EXIT_CLI(code, lhs, expr)                     \
+// Like QIMAP_ASSIGN_OR_RETURN but reports to stderr and returns the exit
+// code `code_of(status)` (CLI handlers return int).
+#define QIMAP_ASSIGN_OR_EXIT_CLI(code_of, lhs, expr)                  \
   auto QIMAP_STATUS_CONCAT(_cli_res, __LINE__) = (expr);              \
   if (!QIMAP_STATUS_CONCAT(_cli_res, __LINE__).ok()) {                \
     std::fprintf(stderr, "%s\n",                                      \
@@ -72,20 +72,32 @@
                      .status()                                        \
                      .ToString()                                      \
                      .c_str());                                       \
-    return code;                                                      \
+    return code_of(QIMAP_STATUS_CONCAT(_cli_res, __LINE__).status()); \
   }                                                                   \
   lhs = std::move(QIMAP_STATUS_CONCAT(_cli_res, __LINE__)).value()
 
-// A failed run: exit 1, like a budget trip or a negative verdict.
+// A failed run: exit 3 when a resource ran out, 1 otherwise.
 #define QIMAP_ASSIGN_OR_RETURN_CLI(lhs, expr) \
-  QIMAP_ASSIGN_OR_EXIT_CLI(1, lhs, expr)
+  QIMAP_ASSIGN_OR_EXIT_CLI(FailedRunExitCode, lhs, expr)
 // Malformed user input (an --instance, --delta, --reverse or
 // --contained-in text): exit 2, like an unknown flag or a malformed --tgds.
 #define QIMAP_PARSE_OR_RETURN_CLI(lhs, expr) \
-  QIMAP_ASSIGN_OR_EXIT_CLI(2, lhs, expr)
+  QIMAP_ASSIGN_OR_EXIT_CLI(BadInputExitCode, lhs, expr)
 
 namespace qimap {
 namespace {
+
+// The exit contract: 0 ok, 1 negative verdict or failed run, 2 bad input,
+// 3 resource exhausted (a budget limit, an injected fault or cancellation,
+// or a search or size cap tripped), so a script can tell an exhausted run
+// from a "no".
+int FailedRunExitCode(const Status& status) {
+  return status.code() == StatusCode::kResourceExhausted ||
+                 status.code() == StatusCode::kCancelled
+             ? 3
+             : 1;
+}
+int BadInputExitCode(const Status&) { return 2; }
 
 // Shared resource governor for the whole invocation, built in Main from
 // the --deadline-ms/--max-memory-mb/--max-nulls/--max-steps flags (and
@@ -178,7 +190,7 @@ int Usage() {
       "run\n"
       "           --max-memory-mb N   approximate memory budget\n"
       "           --max-nulls N       budget on fresh labeled nulls\n"
-      "           (exhaustion exits 1 with a ResourceExhausted status and "
+      "           (exhaustion exits 3 with a ResourceExhausted status and "
       "a partial-result\n"
       "            summary on stderr; QIMAP_FAULT_PLAN=<site>:<nth>"
       "[:cancel] injects faults)\n"
@@ -231,11 +243,13 @@ int Usage() {
       "(validated by\n"
       "             telemetry_check --plan)\n"
       "other:     --version           print the library version\n"
-      "exit:      0 ok, 1 negative verdict or failed run (incl. budget "
-      "exhaustion),\n"
-      "           2 bad input (unknown flag, unreadable or malformed "
-      "--case/--tgds/\n"
-      "             --instance/--delta/--reverse/--contained-in)\n"
+      "exit:      0 ok, 1 negative verdict or failed run, 2 bad input "
+      "(unknown flag,\n"
+      "             unreadable or malformed --case/--tgds/--instance/"
+      "--delta/--reverse/\n"
+      "             --contained-in), 3 resource exhausted (a budget limit, "
+      "cancellation,\n"
+      "             or a search/size cap)\n"
       "Flags accept both --key value and --key=value.\n");
   return 2;
 }
@@ -338,14 +352,14 @@ int RunChase(const Args& args, const SchemaMapping& m) {
     if (!recorded.ok()) {
       std::fprintf(stderr, "%s\n", recorded.status().ToString().c_str());
       PrintBudgetSummary("chase facts", partial.NumFacts());
-      return 1;
+      return FailedRunExitCode(recorded.status());
     }
     i.UnionWith(delta);
     Result<Instance> resumed = Chase(i, m, options);
     if (!resumed.ok()) {
       std::fprintf(stderr, "%s\n", resumed.status().ToString().c_str());
       PrintBudgetSummary("chase facts", partial.NumFacts());
-      return 1;
+      return FailedRunExitCode(resumed.status());
     }
     std::printf("%s\n", resumed->ToString().c_str());
     return 0;
@@ -355,7 +369,7 @@ int RunChase(const Args& args, const SchemaMapping& m) {
   if (!u.ok()) {
     std::fprintf(stderr, "%s\n", u.status().ToString().c_str());
     PrintBudgetSummary("chase facts", partial.NumFacts());
-    return 1;
+    return FailedRunExitCode(u.status());
   }
   if (obs::Profiler::Enabled()) {
     g_cost_model = CostModel::FromInstance(*u);
@@ -381,7 +395,7 @@ int RunQuasiInverse(const SchemaMapping& m, bool lav_variant) {
   if (!rev.ok()) {
     std::fprintf(stderr, "%s\n", rev.status().ToString().c_str());
     PrintBudgetSummary("reverse dependencies", partial.deps.size());
-    return 1;
+    return FailedRunExitCode(rev.status());
   }
   std::printf("%s", rev->ToString().c_str());
   return 0;
@@ -396,7 +410,7 @@ int RunInverse(const SchemaMapping& m) {
   if (!rev.ok()) {
     std::fprintf(stderr, "%s\n", rev.status().ToString().c_str());
     PrintBudgetSummary("reverse dependencies", partial.deps.size());
-    return 1;
+    return FailedRunExitCode(rev.status());
   }
   std::printf("%s", rev->ToString().c_str());
   return 0;
@@ -418,7 +432,7 @@ int RunVerify(const Args& args, const SchemaMapping& m) {
       checker.CheckGeneralizedInverse(rev, kind, kind);
   if (!report.ok()) {
     std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
-    return 1;
+    return FailedRunExitCode(report.status());
   }
   std::printf("(%s,%s)-inverse over the bounded space: %s\n",
               EquivKindName(kind), EquivKindName(kind),
@@ -443,7 +457,12 @@ int RunRoundTrip(const Args& args, const SchemaMapping& m) {
                             ParseReverseMapping(m, reverse_text));
   QIMAP_PARSE_OR_RETURN_CLI(Instance i,
                             ParseInstance(m.source, instance_text));
-  QIMAP_ASSIGN_OR_RETURN_CLI(RoundTrip trip, CheckRoundTrip(m, rev, i));
+  DisjunctiveChaseOptions options;
+  options.num_threads =
+      static_cast<size_t>(std::atoi(args.Get("threads", "1")));
+  options.budget = g_budget;
+  QIMAP_ASSIGN_OR_RETURN_CLI(RoundTrip trip,
+                             CheckRoundTrip(m, rev, i, options));
   std::printf("U  = %s\n", trip.universal.ToString().c_str());
   for (size_t k = 0; k < trip.recovered.size(); ++k) {
     std::printf("V%zu = %s\n", k + 1, trip.recovered[k].ToString().c_str());
@@ -611,7 +630,7 @@ int RunContains(const Args& args, const SchemaMapping& m) {
   if (!report.ok()) {
     std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
     PrintBudgetSummary("containment verdicts", partial.verdicts.size());
-    return 1;
+    return FailedRunExitCode(report.status());
   }
   std::printf("%s\n", report->Summary().c_str());
   if (!report->holds && report->counterexample.has_value()) {
